@@ -29,7 +29,6 @@ from .experiments import (
 from .factor_sieve import (
     Factorization,
     ParityGrid,
-    ParityValues,
     SieveCorruptionError,
     cofactor_resolve,
     liouville,
@@ -37,10 +36,7 @@ from .factor_sieve import (
     omega_sign,
     parity_grid,
     parity_range,
-    parity_values,
-    read_parity_dump,
     sieve_grid,
-    write_parity_dump,
 )
 from .ideal_arith import (
     CubicField,
@@ -101,4 +97,4 @@ from .vaughan import (
 )
 from .verify import run_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -18,7 +18,6 @@ sublattice otherwise.  The three strike families are disjoint by construction.
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -73,26 +72,6 @@ def _abs_nonzero(n: int) -> int:
     return abs(n)
 
 
-@dataclass(frozen=True)
-class ParityValues:
-    """The three parity channels of one value; zero carries all-zero marks
-    so that averages can exclude it uniformly."""
-
-    mu: int
-    liouville: int
-    omega_sign: int
-
-    def __post_init__(self):
-        if self.mu and not (self.mu == self.liouville == self.omega_sign):
-            raise ValueError("squarefree values must agree across channels")
-
-
-def parity_values(n: int) -> ParityValues:
-    if n == 0:
-        return ParityValues(0, 0, 0)
-    return ParityValues(mu(n), liouville(n), omega_sign(n))
-
-
 def parity_range(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mu, lambda, omega-sign) int8 arrays for 1..limit; index 0 is 0.
 
@@ -103,31 +82,58 @@ def parity_range(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     cof = np.arange(limit + 1, dtype=np.int64)
-    small_omega = np.zeros(limit + 1, dtype=np.uint8)
-    big_omega = np.zeros(limit + 1, dtype=np.uint8)
-    squarefree = np.ones(limit + 1, dtype=bool)
+    counts = _ParityCounts(limit + 1)
     for p in primes_up_to(math.isqrt(limit)):
         p = int(p)
         idx = np.arange(p, limit + 1, p, dtype=np.int64)
-        small_omega[idx] += 1
-        cof[idx] //= p
-        big_omega[idx] += 1
-        deeper = idx[cof[idx] % p == 0]
-        if deeper.size:
-            squarefree[deeper] = False
-        while deeper.size:
-            cof[deeper] //= p
-            big_omega[deeper] += 1
-            deeper = deeper[cof[deeper] % p == 0]
-    rest = cof > 1
-    rest[0] = False
-    small_omega[rest] += 1
-    big_omega[rest] += 1
-    mu_arr = np.where(squarefree, 1 - 2 * (small_omega & 1).astype(np.int8), 0).astype(np.int8)
-    lam_arr = (1 - 2 * (big_omega & 1)).astype(np.int8)
-    omg_arr = (1 - 2 * (small_omega & 1)).astype(np.int8)
+        counts.add(idx, p, _divide_out(cof, idx, p))
+    mu_arr, lam_arr, omg_arr = counts.channels(cof)
     mu_arr[0] = lam_arr[0] = omg_arr[0] = 0
     return mu_arr, lam_arr, omg_arr
+
+
+# ---------------------------------------------------------------- striking
+
+
+def _divide_out(cof: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
+    """Divide p out of cof[idx] completely; p must divide every cof[idx].
+
+    Returns the exponent of p at each index (uint8: cofactors are < 2^62).
+    """
+    cof[idx] //= p
+    exps = np.ones(idx.size, dtype=np.uint8)
+    deeper = np.nonzero(cof[idx] % p == 0)[0]
+    while deeper.size:
+        exps[deeper] += 1
+        # idx[deeper] is gathered twice rather than held: holding it raised
+        # the peak memory of the p = 2 strike
+        cof[idx[deeper]] //= p
+        deeper = deeper[cof[idx[deeper]] % p == 0]
+    return exps
+
+
+class _ParityCounts:
+    """omega, Omega and squarefreeness per cofactor slot, fed strike by strike."""
+
+    def __init__(self, size: int):
+        self.small_omega = np.zeros(size, dtype=np.uint8)
+        self.big_omega = np.zeros(size, dtype=np.uint8)
+        self.squarefree = np.ones(size, dtype=bool)
+
+    def add(self, idx: np.ndarray, p: int, exps: np.ndarray) -> None:
+        self.small_omega[idx] += 1
+        self.big_omega[idx] += exps
+        self.squarefree[idx[exps > 1]] = False
+
+    def channels(self, cof: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, lambda, omega-sign) int8 arrays, counting a leftover cofactor
+        > 1 as one more prime to the first power."""
+        rest = cof > 1
+        odd_omega = ((self.small_omega + rest) & 1).astype(np.int8)
+        mu_arr = np.where(self.squarefree, 1 - 2 * odd_omega, 0).astype(np.int8)
+        lam_arr = (1 - 2 * ((self.big_omega + rest) & 1)).astype(np.int8)
+        omg_arr = (1 - 2 * odd_omega).astype(np.int8)
+        return mu_arr, lam_arr, omg_arr
 
 
 # ---------------------------------------------------------------- factorization
@@ -199,6 +205,11 @@ class GridSpec:
     def cells(self) -> int:
         return self.width * self.height
 
+    @property
+    def half_width(self) -> int:
+        """Smallest m with the box inside [-m, m]^2."""
+        return max(abs(self.xmin), abs(self.xmax), abs(self.ymin), abs(self.ymax))
+
 
 def _make_spec(f, S, L, coprime_only) -> Optional[GridSpec]:
     if content(f) != 1:
@@ -209,18 +220,17 @@ def _make_spec(f, S, L, coprime_only) -> Optional[GridSpec]:
     xlo, xhi = S.x_range()
     if ylo > yhi or xlo > xhi:
         return None
-    m = max(abs(xlo), abs(xhi), abs(ylo), abs(yhi))
+    spec = GridSpec(f, S, L, coprime_only, xlo, xhi, ylo, yhi)
+    m = spec.half_width
     if 4 * f.height() * (m + 1) ** 3 >= _INT64_GUARD:
         raise ExactRangeError(f"grid values may exceed the exact 64-bit sieve range (half-width {m})")
-    spec = GridSpec(f, S, L, coprime_only, xlo, xhi, ylo, yhi)
     if spec.cells > _GRID_CELL_CAP:
         raise ExactRangeError(f"grid of {spec.cells} cells is past the supported size")
     return spec
 
 
 def _value_bound(spec: GridSpec) -> int:
-    m = max(abs(spec.xmin), abs(spec.xmax), abs(spec.ymin), abs(spec.ymax))
-    return 4 * spec.form.height() * max(m, 1) ** 3
+    return 4 * spec.form.height() * max(spec.half_width, 1) ** 3
 
 
 def _root_table(f: BinaryCubicForm, primes: np.ndarray):
@@ -269,7 +279,11 @@ def _strike_sets(spec: GridSpec, entry, ys: np.ndarray, row_base: np.ndarray):
 
 
 def _band_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
-    """Region & coset & coprimality mask for the band rows."""
+    """Region & coset & coprimality mask for the band rows.
+
+    The origin is left to the callers, which drop every zero of f; for an
+    irreducible form that is the origin alone.
+    """
     width = spec.width
     mask = np.zeros((ys.size, width), dtype=bool)
     rf = spec.coset.row_form() if spec.coset is not None else None
@@ -294,12 +308,6 @@ def _band_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
                 mask[i, first - spec.xmin : xhi - spec.xmin + 1 : mod] = True
     if spec.coprime_only:
         mask &= _coprime_mask(spec, ys)
-    else:
-        # the origin never counts: the form vanishes there
-        if spec.xmin <= 0 <= spec.xmax:
-            inband = np.nonzero(ys == 0)[0]
-            if inband.size:
-                mask[inband[0], -spec.xmin] = False
     return mask
 
 
@@ -307,8 +315,7 @@ def _coprime_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
     """gcd(x, y) = 1 mask by striking shared prime divisors; exact."""
     width = spec.width
     mask = np.ones((ys.size, width), dtype=bool)
-    bound = max(abs(spec.xmin), abs(spec.xmax), abs(spec.ymin), abs(spec.ymax))
-    for p in primes_up_to(bound):
+    for p in primes_up_to(spec.half_width):
         p = int(p)
         rows = np.nonzero(ys % p == 0)[0]
         if not rows.size:
@@ -316,10 +323,6 @@ def _coprime_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
         cols = np.arange((-spec.xmin) % p, width, p, dtype=np.int64)
         if cols.size:
             mask[rows[:, None], cols[None, :]] = False
-    if spec.xmin <= 0 <= spec.xmax:
-        inband = np.nonzero(ys == 0)[0]
-        if inband.size:
-            mask[inband[0], -spec.xmin] = False  # gcd(0, 0) = 0
     return mask
 
 
@@ -331,43 +334,31 @@ def _band_values(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
     return V
 
 
+def _strike_band(spec: GridSpec, table, ys: np.ndarray, cof: np.ndarray, visit) -> None:
+    """Divide every table prime out of the band's cofactors.
+
+    Calls visit(idx, p, exps) for each strike set, cut to the flat indices
+    p really divides, with the exponent of p at each.  A callback rather than
+    a generator, so no strike set outlives its own visit.
+    """
+    row_base = np.arange(ys.size, dtype=np.int64) * spec.width
+    for entry in table:
+        p = entry[0]
+        for idx in _strike_sets(spec, entry, ys, row_base):
+            idx = idx[cof[idx] % p == 0]
+            if idx.size:
+                visit(idx, p, _divide_out(cof, idx, p))
+
+
 def _sieve_band_parity(spec: GridSpec, table, ys: np.ndarray):
     """Return (points, mu_sum, lam_sum, omg_sum, mu/lam/omg int8 arrays)."""
-    width = spec.width
-    row_base = np.arange(ys.size, dtype=np.int64) * width
     V = _band_values(spec, ys)
     sign_zero = V.ravel() == 0
     cof = np.abs(V).ravel()
     cof[sign_zero] = 1
-    small_omega = np.zeros(cof.size, dtype=np.uint8)
-    big_omega = np.zeros(cof.size, dtype=np.uint8)
-    squarefree = np.ones(cof.size, dtype=bool)
-    for entry in table:
-        p = entry[0]
-        for idx in _strike_sets(spec, entry, ys, row_base):
-            if not idx.size:
-                continue
-            idx = idx[cof[idx] % p == 0]
-            if not idx.size:
-                continue
-            small_omega[idx] += 1
-            cof[idx] //= p
-            big_omega[idx] += 1
-            deeper = idx[cof[idx] % p == 0]
-            if deeper.size:
-                squarefree[deeper] = False
-            while deeper.size:
-                cof[deeper] //= p
-                big_omega[deeper] += 1
-                deeper = deeper[cof[deeper] % p == 0]
-    rest = cof > 1
-    small_omega[rest] += 1
-    big_omega[rest] += 1
-    odd_omega = (small_omega & 1).astype(np.int8)
-    mu_flat = np.where(squarefree, 1 - 2 * odd_omega, 0).astype(np.int8)
-    lam_flat = (1 - 2 * (big_omega & 1)).astype(np.int8)
-    omg_flat = (1 - 2 * odd_omega).astype(np.int8)
-    mu_flat[sign_zero] = lam_flat[sign_zero] = omg_flat[sign_zero] = 0
+    counts = _ParityCounts(cof.size)
+    _strike_band(spec, table, ys, cof, counts.add)
+    mu_flat, lam_flat, omg_flat = counts.channels(cof)
     mask = _band_mask(spec, ys).ravel()
     mask &= ~sign_zero
     points = int(mask.sum())
@@ -376,7 +367,7 @@ def _sieve_band_parity(spec: GridSpec, table, ys: np.ndarray):
         int(lam_flat[mask].sum(dtype=np.int64)),
         int(omg_flat[mask].sum(dtype=np.int64)),
     )
-    shape = (ys.size, width)
+    shape = (ys.size, spec.width)
     mu_flat[~mask] = 0
     lam_flat[~mask] = 0
     omg_flat[~mask] = 0
@@ -408,15 +399,6 @@ class ParityGrid:
     mu: Optional[np.ndarray] = None
     lam: Optional[np.ndarray] = None
     omg: Optional[np.ndarray] = None
-
-    def channel(self, alpha: str) -> np.ndarray:
-        arrs = {"mu": self.mu, "lambda": self.lam, "omega": self.omg}
-        if alpha not in arrs:
-            raise ValueError(f"unknown parity channel {alpha!r}")
-        arr = arrs[alpha]
-        if arr is None:
-            raise ValueError("grid was computed in sums-only mode")
-        return arr
 
     def sum_for(self, alpha: str) -> int:
         sums = {"mu": self.mu_sum, "lambda": self.lam_sum, "omega": self.omg_sum}
@@ -492,31 +474,12 @@ def sieve_grid(
     table = _root_table(f, primes_up_to(Z))
     ys = np.arange(spec.ymin, spec.ymax + 1, dtype=np.int64)
     width = spec.width
-    row_base = np.arange(ys.size, dtype=np.int64) * width
     V = _band_values(spec, ys).ravel()
     cof = np.abs(V)
     zero = cof == 0
     cof[zero] = 1
     stripes: list[tuple[np.ndarray, int, np.ndarray]] = []
-    for entry in table:
-        p = entry[0]
-        for idx in _strike_sets(spec, entry, ys, row_base):
-            if not idx.size:
-                continue
-            idx = idx[cof[idx] % p == 0]
-            if not idx.size:
-                continue
-            vals = np.ones(idx.size, dtype=np.int64)
-            cof[idx] //= p
-            pos = np.arange(idx.size)
-            deeper = cof[idx] % p == 0
-            while deeper.any():
-                pos = pos[deeper]
-                vals[pos] += 1
-                sub = idx[pos]
-                cof[sub] //= p
-                deeper = cof[sub] % p == 0
-            stripes.append((idx, p, vals))
+    _strike_band(spec, table, ys, cof, lambda idx, p, exps: stripes.append((idx, p, exps)))
     mask = _band_mask(spec, ys).ravel() & ~zero
     factors: dict[int, list[tuple[int, int]]] = {}
     for idx, p, vals in stripes:
@@ -553,49 +516,3 @@ def _icbrt_up(n: int) -> int:
     while s > 1 and (s - 1) ** 3 >= n:
         s -= 1
     return s
-
-
-# ---------------------------------------------------------------- binary dump
-
-_DUMP_MAGIC = b"CHW1"
-_ALPHA_CODES = {"mu": 0, "lambda": 1, "omega": 2}
-
-
-def write_parity_dump(path, grid: ParityGrid, alpha: str, region_text: str) -> None:
-    """Binary parity grid: magic 'CHW1', coefficients, descriptor, then rows.
-
-    Layout, all little-endian: magic; four int64 coefficients; uint8 channel
-    code (0 mu, 1 lambda, 2 omega); four int64 bounds xmin,xmax,ymin,ymax;
-    uint32 descriptor length + UTF-8 descriptor; then one signed byte per
-    point, row-major with y increasing then x increasing, -1/0/+1.
-    """
-    arr = grid.channel(alpha)
-    spec = grid.spec
-    desc = region_text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<4q", *spec.form.coeffs))
-        fh.write(struct.pack("<B", _ALPHA_CODES[alpha]))
-        fh.write(struct.pack("<4q", spec.xmin, spec.xmax, spec.ymin, spec.ymax))
-        fh.write(struct.pack("<I", len(desc)))
-        fh.write(desc)
-        fh.write(arr.astype(np.int8).tobytes(order="C"))
-
-
-def read_parity_dump(path):
-    """Inverse of write_parity_dump; returns (coeffs, alpha, bounds, desc, array)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _DUMP_MAGIC:
-            raise ValueError("not a parity dump")
-        coeffs = struct.unpack("<4q", fh.read(32))
-        code = struct.unpack("<B", fh.read(1))[0]
-        xmin, xmax, ymin, ymax = struct.unpack("<4q", fh.read(32))
-        dlen = struct.unpack("<I", fh.read(4))[0]
-        desc = fh.read(dlen).decode("utf-8")
-        data = np.frombuffer(fh.read(), dtype=np.int8)
-    width = xmax - xmin + 1
-    height = ymax - ymin + 1
-    if data.size != width * height:
-        raise ValueError("parity dump payload has the wrong size")
-    alpha = {v: k for k, v in _ALPHA_CODES.items()}[code]
-    return coeffs, alpha, (xmin, xmax, ymin, ymax), desc, data.reshape(height, width)

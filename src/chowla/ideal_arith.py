@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .cubic_form import BinaryCubicForm, ReducibleFormError, is_irreducible
 from .polymod import factor_cubic_mod_p, hensel_lift_root, poly_gcd, poly_reduce
 from .primes import factor_int, is_prime, primes_up_to
-from .region_lattice import RowForm
+from .region_lattice import RowForm, _extgcd
 
 _DIVISOR_CAP = 1 << 16
 _SAMPLE_BUDGET = 4_000_000
@@ -156,14 +156,6 @@ def factor_prime(K: CubicField, p: int) -> list[PrimeIdeal]:
     return out
 
 
-def warm_up(K: CubicField, Z: int) -> None:
-    """Populate the factorization cache for all usable primes up to Z."""
-    for p in primes_up_to(Z):
-        p = int(p)
-        if p not in K.index_bound:
-            factor_prime(K, p)
-
-
 def prime_ideals_up_to(K: CubicField, B: int) -> list[PrimeIdeal]:
     """All prime ideals of norm <= B above usable primes, sorted."""
     out = []
@@ -288,10 +280,6 @@ def divisors(a: Ideal, cap: int = _DIVISOR_CAP) -> Iterator[Ideal]:
     ranges = [range(e + 1) for _, e in a.factors]
     for exps in itertools.product(*ranges):
         yield Ideal.from_factors(zip(primes, exps))
-
-
-def gcd_ideal(a: Ideal, b: Ideal) -> Ideal:
-    return Ideal.from_factors((q, min(e, b.valuation(q))) for q, e in a.factors)
 
 
 # ------------------------------------------------------------------ points
@@ -425,18 +413,6 @@ def _lattice_from_members(members: list[tuple[int, int]], mod: int) -> RowForm:
     if a * c * len(members) != mod * mod:
         raise ArithmeticError("rebuilt lattice index disagrees with the member count")
     return form
-
-
-def _extgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    return old_r, old_s, old_t
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -1,4 +1,4 @@
-"""Convex regions, lattice cosets, and exact integer point enumeration.
+"""Convex regions and lattice cosets with exact row descriptions.
 
 Regions are boxes, discs, and convex polygons with rational parameters, so
 membership and row extents are exact; no floating point decides a boundary.
@@ -9,13 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cubic_form import parse_rational
-
-
-class NonCoprimeIndexError(ValueError):
-    """intersect_cosets only handles cosets of coprime index."""
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> Optional[tuple[int, int]]:
@@ -80,9 +76,6 @@ class RowForm:
             return None
         t = (y - self.y0) // self.c
         return ((self.x0 + self.b * t) % self.a, self.a)
-
-    def basis_offset(self):
-        return ((self.a, self.b), (0, self.c)), (self.x0, self.y0)
 
     def intersect(self, other: "RowForm") -> Optional["RowForm"]:
         """Exact intersection; None when the cosets are disjoint."""
@@ -173,25 +166,6 @@ class LatticeCoset:
         return RowForm.from_basis(u, v, self.offset)
 
 
-FULL_LATTICE = LatticeCoset(basis=((1, 0), (0, 1)))
-
-
-def coset_index(L: LatticeCoset) -> int:
-    return L.index
-
-
-def intersect_cosets(L1: LatticeCoset, L2: LatticeCoset) -> LatticeCoset:
-    """Intersection of two cosets of coprime index (always nonempty then)."""
-    if math.gcd(L1.index, L2.index) != 1:
-        raise NonCoprimeIndexError(
-            f"indices {L1.index} and {L2.index} share a factor"
-        )
-    rf = L1.row_form().intersect(L2.row_form())
-    assert rf is not None  # coprime indices cannot be disjoint
-    basis, offset = rf.basis_offset()
-    return LatticeCoset(basis=basis, offset=offset)
-
-
 @dataclass(frozen=True)
 class ConvexRegion:
     """Closed convex region: 'box', 'disc', or convex 'poly', rational data."""
@@ -245,32 +219,6 @@ class ConvexRegion:
             cx, cy, r = self.data
             return ConvexRegion("disc", (cx * t, cy * t, r * t))
         return ConvexRegion("poly", tuple((x * t, y * t) for x, y in self.data))
-
-    def half_width(self) -> float:
-        """Smallest N with the region inside [-N, N]^2."""
-        if self.kind == "box":
-            x0, x1, y0, y1 = self.data
-            m = max(abs(x0), abs(x1), abs(y0), abs(y1))
-        elif self.kind == "disc":
-            cx, cy, r = self.data
-            m = max(abs(cx), abs(cy)) + r
-        else:
-            m = max(max(abs(x), abs(y)) for x, y in self.data)
-        return float(m)
-
-    def area(self) -> float:
-        if self.kind == "box":
-            x0, x1, y0, y1 = self.data
-            return float((x1 - x0) * (y1 - y0))
-        if self.kind == "disc":
-            return math.pi * float(self.data[2]) ** 2
-        verts = self.data
-        acc = Fraction(0)
-        for i in range(len(verts)):
-            x1, y1 = verts[i]
-            x2, y2 = verts[(i + 1) % len(verts)]
-            acc += x1 * y2 - x2 * y1
-        return float(acc) / 2.0
 
     def y_range(self) -> tuple[int, int]:
         if self.kind == "box":
@@ -356,60 +304,6 @@ class ConvexRegion:
 
 def _lcm3(a: int, b: int, c: int) -> int:
     return math.lcm(math.lcm(a, b), c)
-
-
-def area(S: ConvexRegion) -> float:
-    return S.area()
-
-
-def count_points(S: ConvexRegion, L: Optional[LatticeCoset] = None) -> int:
-    """Exact number of integer points of the coset inside the closed region."""
-    rf = L.row_form() if L is not None else None
-    ylo, yhi = S.y_range()
-    total = 0
-    for y in range(ylo, yhi + 1):
-        ext = S.row_extent(y)
-        if ext is None:
-            continue
-        xlo, xhi = ext
-        if rf is None:
-            total += xhi - xlo + 1
-            continue
-        sol = rf.row_solution(y)
-        if sol is None:
-            continue
-        res, mod = sol
-        first = xlo + (res - xlo) % mod
-        if first <= xhi:
-            total += (xhi - first) // mod + 1
-    return total
-
-
-def enumerate_coprime_points(
-    S: ConvexRegion, L: Optional[LatticeCoset] = None
-) -> Iterator[tuple[int, int]]:
-    """Stream the points of S n L with gcd(x, y) = 1, row by row.
-
-    gcd(0, k) = |k|, so (0, +-1) and (+-1, 0) qualify and (0, 0) never does.
-    """
-    rf = L.row_form() if L is not None else None
-    ylo, yhi = S.y_range()
-    for y in range(ylo, yhi + 1):
-        ext = S.row_extent(y)
-        if ext is None:
-            continue
-        xlo, xhi = ext
-        if rf is None:
-            xs = range(xlo, xhi + 1)
-        else:
-            sol = rf.row_solution(y)
-            if sol is None:
-                continue
-            res, mod = sol
-            xs = range(xlo + (res - xlo) % mod, xhi + 1, mod)
-        for x in xs:
-            if math.gcd(x, y) == 1:
-                yield (x, y)
 
 
 def parse_region(text: str) -> ConvexRegion:

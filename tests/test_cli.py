@@ -138,16 +138,25 @@ def test_verify_suite_runs(tmp_path, capsys):
     assert len(lines) > 1 and all(",pass," in ln for ln in lines[1:])
 
 
-def test_console_script_entry_point():
-    """Run the console entry that pyproject declares, in a fresh interpreter,
-    exactly as the wrapper an installer writes: ``sys.exit(main())``."""
+def _pyproject_project() -> dict:
+    """The ``[project]`` table of the checkout's pyproject.toml."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        entry = tomllib.load(fh)["project"]["scripts"]["chowla"]
+        return tomllib.load(fh)["project"]
+
+
+def test_version_matches_pyproject():
+    assert chowla.__version__ == _pyproject_project()["version"]
+
+
+def test_console_script_entry_point():
+    """Run the console entry that pyproject declares, in a fresh interpreter,
+    exactly as the wrapper an installer writes: ``sys.exit(main())``."""
+    entry = _pyproject_project()["scripts"]["chowla"]
     assert entry == "chowla.cli:main"
     module, attr = entry.split(":")
     # The child must import the same chowla as this process, ahead of any

@@ -1,13 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chowla.cubic_form import BinaryCubicForm, ExactRangeError
+from chowla.cubic_form import BinaryCubicForm, ExactRangeError, is_irreducible
 from chowla.factor_sieve import (
     Factorization,
-    ParityValues,
     SieveCorruptionError,
     cofactor_resolve,
     liouville,
@@ -15,16 +15,17 @@ from chowla.factor_sieve import (
     omega_sign,
     parity_grid,
     parity_range,
-    parity_values,
-    read_parity_dump,
     sieve_grid,
-    write_parity_dump,
 )
 from chowla.region_lattice import ConvexRegion, LatticeCoset
 
 from helpers import spf_parity_tables, trial_factor
 
 F2 = BinaryCubicForm(1, 0, 0, 2)
+
+# leading coefficients: monic, negative, and divisible by small primes and
+# their powers, so that rows p | y are struck wholesale
+LEADS = (1, -1, 2, -3, 4, 6, -8, 9, -12, 25, 27, -30)
 
 
 def test_single_values_known():
@@ -52,22 +53,6 @@ def test_zero_rejected():
     for fn in (mu, liouville, omega_sign):
         with pytest.raises(ValueError):
             fn(0)
-
-
-def test_parity_values():
-    pv = parity_values(0)
-    assert (pv.mu, pv.liouville, pv.omega_sign) == (0, 0, 0)
-    for n in range(1, 200):
-        pv = parity_values(n)
-        assert (pv.mu, pv.liouville, pv.omega_sign) == (
-            mu(n),
-            liouville(n),
-            omega_sign(n),
-        )
-        if pv.mu:  # squarefree: all three channels coincide
-            assert pv.mu == pv.liouville == pv.omega_sign
-    with pytest.raises(ValueError):
-        ParityValues(1, -1, 1)
 
 
 def test_parity_range_against_spf_oracle():
@@ -171,8 +156,7 @@ def test_sum_channels():
     assert grid.sum_for("omega") == grid.omg_sum
     with pytest.raises(ValueError):
         grid.sum_for("sigma")
-    with pytest.raises(ValueError):
-        grid.channel("mu")  # arrays were not kept
+    assert grid.mu is None and grid.lam is None and grid.omg is None  # sums only
 
 
 def test_sieve_grid_factorizations():
@@ -208,18 +192,91 @@ def test_grid_rejects_bad_forms():
         parity_grid(F2, ConvexRegion.box(-1, 1, -1, 1).scale(10**6))
 
 
-def test_parity_dump_round_trip(tmp_path):
-    region = ConvexRegion.box(-10, 10, -10, 10)
-    grid = parity_grid(F2, region, keep_arrays=True)
-    path = tmp_path / "grid.bin"
-    write_parity_dump(path, grid, "mu", "box:-10,10,-10,10")
-    coeffs, alpha, bounds, desc, arr = read_parity_dump(path)
-    assert coeffs == (1, 0, 0, 2)
-    assert alpha == "mu"
-    assert desc == "box:-10,10,-10,10"
-    assert bounds == (-10, 10, -10, 10)
-    assert np.array_equal(arr, grid.mu)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        read_parity_dump(bad)
+def _random_form(rng: random.Random, lead: int) -> BinaryCubicForm:
+    """Irreducible content-1 form, coefficients in [-30, 30], given x^3 term."""
+    while True:
+        f = BinaryCubicForm(lead, *(rng.randint(-30, 30) for _ in range(3)))
+        if math.gcd(*f.coeffs) == 1 and is_irreducible(f):
+            return f
+
+
+def _random_region(rng: random.Random, kind: str) -> ConvexRegion:
+    """A region with at least one integer point, inside [-16, 16]^2."""
+    cx, cy = rng.randint(-4, 4), rng.randint(-4, 4)
+    if kind == "box":
+        return ConvexRegion.box(
+            cx - Fraction(rng.randint(2, 48), 4),
+            cx + Fraction(rng.randint(2, 48), 4),
+            cy - Fraction(rng.randint(2, 48), 4),
+            cy + Fraction(rng.randint(2, 48), 4),
+        )
+    if kind == "disc":
+        return ConvexRegion.disc(
+            cx + Fraction(rng.randint(0, 3), 4),
+            cy + Fraction(rng.randint(0, 3), 4),
+            Fraction(rng.randint(4, 44), 4),
+        )
+    if kind == "triangle":
+        while True:
+            pts = [(rng.randint(-14, 14), rng.randint(-14, 14)) for _ in range(3)]
+            (px, py), (qx, qy), (rx, ry) = pts
+            if (qx - px) * (ry - py) - (qy - py) * (rx - px):
+                return ConvexRegion.polygon(pts)
+    # a kite with integer vertices on the two axes through (cx, cy)
+    e, n, w, s = (rng.randint(2, 12) for _ in range(4))
+    return ConvexRegion.polygon([(cx + e, cy), (cx, cy + n), (cx - w, cy), (cx, cy - s)])
+
+
+def _random_coset(rng: random.Random) -> LatticeCoset:
+    while True:
+        rows = tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(2))
+        if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]:
+            return LatticeCoset(basis=rows, offset=(rng.randint(-5, 5), rng.randint(-5, 5)))
+
+
+def _oracle_channels(n: int) -> tuple[int, int, int]:
+    fs = trial_factor(n)
+    k, big = len(fs), sum(e for _, e in fs)
+    return (0 if big > k else (-1) ** k), (-1) ** big, (-1) ** k
+
+
+def test_grid_paths_vs_trial_division_random():
+    """Seeded differential check of the strike engine over random inputs."""
+    rng = random.Random(2005)
+    kinds = ("box", "disc", "triangle", "kite")
+    for case in range(96):
+        f = _random_form(rng, LEADS[case % len(LEADS)])
+        S = _random_region(rng, kinds[case % len(kinds)])
+        L = _random_coset(rng) if case % 3 else None
+        coprime = case % 2 == 1
+        admitted = {}
+        for y in range(-17, 18):
+            for x in range(-17, 18):
+                if (x, y) == (0, 0) or not S.contains(x, y):
+                    continue
+                if L is not None and not L.contains(x, y):
+                    continue
+                if coprime and math.gcd(x, y) != 1:
+                    continue
+                admitted[(x, y)] = f(x, y)
+        where = f"case {case}: {f.coeffs} {S} {L} coprime={coprime}"
+
+        for threads in (1, 3):
+            grid = parity_grid(f, S, L, coprime_only=coprime, threads=threads, keep_arrays=True)
+            spec = grid.spec
+            want = np.zeros((3, spec.height, spec.width), dtype=np.int8)
+            for (x, y), v in admitted.items():
+                assert spec.xmin <= x <= spec.xmax and spec.ymin <= y <= spec.ymax, where
+                want[:, y - spec.ymin, x - spec.xmin] = _oracle_channels(v)
+            assert grid.points == len(admitted), where
+            assert np.array_equal(grid.mu, want[0]), where
+            assert np.array_equal(grid.lam, want[1]), where
+            assert np.array_equal(grid.omg, want[2]), where
+            sums = want.sum(axis=(1, 2), dtype=np.int64).tolist()
+            assert [grid.mu_sum, grid.lam_sum, grid.omg_sum] == sums, where
+
+        table = sieve_grid(f, S, L, coprime_only=coprime)
+        assert set(table) == set(admitted), where
+        for pt, v in admitted.items():
+            assert table[pt].value == v, where
+            assert list(table[pt].factors) == trial_factor(v), where

@@ -11,7 +11,6 @@ from chowla.ideal_arith import (
     compute_D0,
     divisors,
     factor_prime,
-    gcd_ideal,
     ideal_from_point,
     ideal_lattice,
     mu_ideal,
@@ -24,7 +23,6 @@ from chowla.ideal_arith import (
     split_S,
     tau,
     valuation_at_point,
-    warm_up,
 )
 
 from helpers import random_ideal, simple_primes, trial_factor
@@ -119,10 +117,7 @@ def test_ideal_algebra(K2):
         assert ab.divides(a) or not a.is_unit or b.is_unit or True
         assert a.divides(ab) and b.divides(ab)
         assert ab.divide(a) == b
-        g = gcd_ideal(a, b)
-        assert g.divides(a) and g.divides(b)
         if a.coprime(b):
-            assert g.is_unit
             assert tau(ab) == tau(a) * tau(b)
             assert mu_ideal(ab) == mu_ideal(a) * mu_ideal(b)
             assert omega(ab) == omega(a) + omega(b)
@@ -298,8 +293,3 @@ def test_ideal_lattice_composite(K2):
                 and valuation_at_point(K2, q3, x, y) >= 2
             )
             assert lam.contains(x, y) == want
-
-
-def test_warm_up_runs(K23):
-    warm_up(K23, 200)
-    assert factor_prime(K23, 199) is not None

@@ -2,20 +2,20 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from chowla.cubic_form import BinaryCubicForm
+from chowla.factor_sieve import parity_grid
 from chowla.region_lattice import (
     ConvexRegion,
-    FULL_LATTICE,
     LatticeCoset,
-    NonCoprimeIndexError,
     RowForm,
-    count_points,
-    enumerate_coprime_points,
-    intersect_cosets,
     parse_coset,
     parse_region,
 )
+
+F2 = BinaryCubicForm(1, 0, 0, 2)  # vanishes at the origin only
 
 
 def _random_coset(rng, span=5, shift=6) -> LatticeCoset:
@@ -103,23 +103,6 @@ def test_row_form_intersection():
             assert r2.contains(inter.x0, inter.y0)
 
 
-def test_intersect_cosets_coprime_index():
-    L1 = LatticeCoset(basis=((5, 1), (0, 1)), offset=(0, 0))  # x = y mod 5
-    L2 = LatticeCoset(basis=((3, 0), (0, 1)), offset=(1, 0))  # x = 1 mod 3
-    L = intersect_cosets(L1, L2)
-    assert L.index == 15
-    for x in range(-20, 21):
-        for y in range(-20, 21):
-            assert L.contains(x, y) == (L1.contains(x, y) and L2.contains(x, y))
-    with pytest.raises(NonCoprimeIndexError):
-        intersect_cosets(L1, LatticeCoset(basis=((5, 0), (0, 1))))
-
-
-def test_full_lattice():
-    assert FULL_LATTICE.index == 1
-    assert FULL_LATTICE.contains(3, -7)
-
-
 def test_box_region():
     S = ConvexRegion.box(-2, 3, -1, 2)
     for x in range(-5, 6):
@@ -127,7 +110,6 @@ def test_box_region():
             assert S.contains(x, y) == (-2 <= x <= 3 and -1 <= y <= 2)
     assert S.y_range() == (-1, 2)
     assert S.x_range() == (-2, 3)
-    assert S.area() == 15.0
     with pytest.raises(ValueError):
         ConvexRegion.box(1, 0, 0, 1)
 
@@ -162,7 +144,8 @@ def test_polygon_region():
         assert B.row_extent(y) == P.row_extent(y)
     # clockwise input is normalized, not rejected
     Q = ConvexRegion.polygon([(-3, -2), (-3, 4), (2, 4), (2, -2)])
-    assert count_points(Q) == count_points(P)
+    for y in range(-5, 7):
+        assert Q.row_extent(y) == P.row_extent(y)
     with pytest.raises(ValueError):
         ConvexRegion.polygon([(0, 0), (1, 1), (2, 2)])  # collinear
     with pytest.raises(ValueError):
@@ -192,7 +175,8 @@ def test_scale_membership():
         S.scale(0)
 
 
-def test_count_points_vs_brute():
+def test_grid_points_vs_brute():
+    """The sieve's region & coset mask admits exactly the brute-force points."""
     rng = random.Random(41)
     regions = [
         ConvexRegion.box(-7, 5, -4, 6),
@@ -204,26 +188,35 @@ def test_count_points_vs_brute():
             brute = 0
             for x in range(-15, 16):
                 for y in range(-15, 16):
+                    if (x, y) == (0, 0):
+                        continue
                     if S.contains(x, y) and (L is None or L.contains(x, y)):
                         brute += 1
-            assert count_points(S, L) == brute
+            assert parity_grid(F2, S, L).points == brute
 
 
-def test_enumerate_coprime_points():
+def _admitted(grid) -> set[tuple[int, int]]:
+    """Points the grid counted: lambda is +-1 there and 0 everywhere else."""
+    ys, xs = np.nonzero(grid.lam)
+    return {(int(x) + grid.spec.xmin, int(y) + grid.spec.ymin) for x, y in zip(xs, ys)}
+
+
+def test_grid_coprime_points():
     S = ConvexRegion.box(-6, 6, -6, 6)
-    got = set(enumerate_coprime_points(S))
+    grid = parity_grid(F2, S, coprime_only=True, keep_arrays=True)
+    got = _admitted(grid)
     want = {
         (x, y)
         for x in range(-6, 7)
         for y in range(-6, 7)
         if math.gcd(x, y) == 1
     }
-    assert got == want
+    assert got == want and grid.points == len(want)
     assert (0, 0) not in got
     assert (0, 1) in got and (-1, 0) in got
     L = LatticeCoset(basis=((2, 0), (0, 1)), offset=(1, 0))  # odd x
-    got_l = set(enumerate_coprime_points(S, L))
-    assert got_l == {p for p in want if p[0] % 2 == 1}
+    grid_l = parity_grid(F2, S, L, coprime_only=True, keep_arrays=True)
+    assert _admitted(grid_l) == {p for p in want if p[0] % 2 == 1}
 
 
 def test_parse_region_round_trip():
