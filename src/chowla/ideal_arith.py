@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .cubic_form import BinaryCubicForm, ReducibleFormError, is_irreducible
-from .polymod import factor_cubic_mod_p, hensel_lift_root, poly_gcd, poly_reduce
+from .polymod import factor_cubic_mod_p, hensel_lift_root, poly_eval
 from .primes import factor_int, is_prime, primes_up_to
 from .region_lattice import RowForm, _extgcd
 
@@ -38,19 +37,14 @@ class IndexBoundError(ValueError):
 class CubicField:
     """Cubic field data: minimal polynomial, discriminant, risky primes."""
 
-    __slots__ = ("form", "min_poly", "disc", "index_bound", "sign", "_factor_cache")
+    __slots__ = ("form", "min_poly", "disc", "index_bound", "_factor_cache")
 
     def __init__(self, form: BinaryCubicForm, disc: int, index_bound: frozenset[int]):
         self.form = form
-        # t^3 + b t^2 + c t + d, stored lowest degree first
-        self.min_poly = [form.d, form.c, form.b, 1]
+        self.min_poly = form.dehomogenized()  # t^3 + b t^2 + c t + d
         self.disc = disc
         self.index_bound = index_bound
-        self.sign = 1  # f(x, y) = N(x - y*theta) identically for a monic form
         self._factor_cache: dict[int, tuple["PrimeIdeal", ...]] = {}
-
-    def value(self, x: int, y: int) -> int:
-        return self.form(x, y)
 
     def __repr__(self) -> str:
         return f"CubicField(t^3 + {self.form.b}t^2 + {self.form.c}t + {self.form.d})"
@@ -67,40 +61,21 @@ def build_field(g: BinaryCubicForm) -> CubicField:
     if not is_irreducible(g):
         raise ReducibleFormError("field construction needs an irreducible form")
     disc = g.discriminant()
-    min_poly = [g.d, g.c, g.b, 1]
-    risky = []
-    for p, e in factor_int(abs(disc)):
-        if e >= 2 and _dedekind_index_divisible(min_poly, p):
-            risky.append(p)
-    field = CubicField(g, disc, frozenset(risky))
-    return field
-
-
-def _zpoly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+    min_poly = g.dehomogenized()
+    risky = frozenset(
+        p for p, e in factor_int(abs(disc)) if e >= 2 and _dedekind_index_divisible(min_poly, p)
+    )
+    return CubicField(g, disc, risky)
 
 
 def _dedekind_index_divisible(min_poly: list[int], p: int) -> bool:
-    """Dedekind's criterion: does p divide [O_K : Z[theta]]?"""
-    factors = factor_cubic_mod_p(min_poly, p)
-    g_star = [1]
-    h_star = [1]
-    for coeffs, mult in factors:
-        g_star = _zpoly_mul(g_star, coeffs)
-        for _ in range(mult - 1):
-            h_star = _zpoly_mul(h_star, coeffs)
-    gh = _zpoly_mul(g_star, h_star)
-    diff = [x - y for x, y in zip(gh, min_poly + [0] * (len(gh) - len(min_poly)))]
-    if any(c % p for c in diff):
-        raise ArithmeticError("factor product does not reduce to the minimal polynomial")
-    t_bar = poly_reduce([c // p for c in diff], p)
-    common = poly_gcd(poly_reduce(g_star, p), poly_reduce(h_star, p), p)
-    common = poly_gcd(common, t_bar, p)
-    return len(common) - 1 > 0
+    """Dedekind's criterion: does p divide [O_K : Z[theta]]?
+
+    Only a repeated root r mod p can share a factor with (f - g*h)/p, and it
+    does exactly when f(r) = 0 mod p^2; since p | f'(r), any lift of r will do.
+    """
+    roots, _ = factor_cubic_mod_p(min_poly, p)
+    return any(m > 1 and poly_eval(min_poly, r, p * p) == 0 for r, m in roots)
 
 
 # ------------------------------------------------------------------ primes
@@ -141,14 +116,10 @@ def factor_prime(K: CubicField, p: int) -> list[PrimeIdeal]:
         raise IndexBoundError(f"unsupported: {p} may divide the index")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    out = []
-    for coeffs, mult in factor_cubic_mod_p(K.min_poly, p):
-        deg = len(coeffs) - 1
-        if deg == 1:
-            root = (-coeffs[0]) % p
-            out.append(PrimeIdeal(p, 1, mult, root))
-        else:
-            out.append(PrimeIdeal(p, deg, mult, -1))
+    roots, rest = factor_cubic_mod_p(K.min_poly, p)
+    out = [PrimeIdeal(p, 1, mult, root) for root, mult in roots]
+    if rest:
+        out.append(PrimeIdeal(p, rest, 1, -1))
     if sum(q.residue_degree * q.ramification for q in out) != 3:
         raise ArithmeticError(f"splitting of {p} does not sum to the field degree")
     out.sort()
@@ -298,7 +269,7 @@ def ideal_from_point(
     """
     if math.gcd(x, y) != 1:
         raise ValueError("point must be primitive (coprime coordinates)")
-    v = K.value(x, y)
+    v = K.form(x, y)
     if v == 0:
         raise ValueError("form vanishes at the point")
     pairs = []
@@ -337,7 +308,7 @@ def valuation_at_point(K: CubicField, q: PrimeIdeal, x: int, y: int) -> float:
     if q.residue_degree == 1 and y % p != 0:
         r = (x * pow(y, -1, p)) % p
         if r == q.root_tag:
-            v = abs(K.value(x, y))
+            v = abs(K.form(x, y))
             while v % p == 0:
                 v //= p
                 val += 1

@@ -127,36 +127,30 @@ def roots_mod_p(coeffs, p: int) -> list[int]:
     return _split_linear_product(g, p)
 
 
-def factor_cubic_mod_p(coeffs, p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Factor a monic cubic mod p into monic irreducibles with multiplicity.
+def _derivative(coeffs) -> list[int]:
+    return [i * c for i, c in enumerate(coeffs)][1:]
 
-    Returns [(factor_coeffs, mult), ...]; linear factors first, sorted by root.
-    A rootless leftover of degree 2 or 3 is irreducible, since any proper
-    factor of it would contribute a root already extracted.
+
+def factor_cubic_mod_p(coeffs, p: int) -> tuple[list[tuple[int, int]], int]:
+    """Splitting type of a cubic mod p, read off its distinct roots.
+
+    Returns ([(root, mult), ...] sorted by root, rest_degree).  A root r is
+    repeated exactly when f'(r) = 0 mod p; a cubic has at most one repeated
+    root, and its multiplicity is 4 - (number of distinct roots).  The rest,
+    of degree 0, 2 or 3, has no root, so it is irreducible.
     """
     f = poly_reduce(coeffs, p)
     if len(f) != 4:
         raise ValueError("factor_cubic_mod_p wants a cubic that stays cubic mod p")
-    out = []
-    rest = f
-    for r in roots_mod_p(f, p):
-        lin = [(-r) % p, 1]
-        mult = 0
-        while True:
-            q, rem = poly_divmod(rest, lin, p)
-            if rem:
-                break
-            rest, mult = q, mult + 1
-        out.append(((r % p,), mult))  # record by root
-    factors = [(((-r[0]) % p, 1), m) for (r, m) in out]
-    if len(rest) > 1:
-        factors.append((tuple(rest), 1))
-    return factors
+    roots = roots_mod_p(f, p)
+    fprime = _derivative(f)
+    mults = [4 - len(roots) if poly_eval(fprime, r, p) == 0 else 1 for r in roots]
+    return list(zip(roots, mults)), 3 - sum(mults)
 
 
 def hensel_lift_root(coeffs, p: int, r: int, k: int) -> int:
     """Lift a simple root r of f mod p to the unique root mod p^k."""
-    fprime = [i * c for i, c in enumerate(coeffs)][1:]
+    fprime = _derivative(coeffs)
     if poly_eval(fprime, r, p) == 0:
         raise ValueError(f"root {r} of f mod {p} is not simple; no unique lift")
     q = p

@@ -16,16 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .cubic_form import BinaryCubicForm
 from .factor_sieve import sieve_grid
 from .ideal_arith import (
     CubicField,
     Ideal,
     IndexBoundError,
-    PrimeIdeal,
     compute_D0,
     divisors,
-    factor_prime,
     ideal_from_point,
     ideal_lattice,
     mu_ideal,
@@ -147,9 +144,6 @@ class DensityModel:
     field: CubicField
     coset: Optional[LatticeCoset] = None
     _cache: dict = field(default_factory=dict)
-
-    def _base_row(self) -> RowForm:
-        return self.coset.row_form() if self.coset is not None else _FULL_ROW
 
     def g(self, d: Ideal) -> Fraction:
         """Density of d: the direct ratio per rational prime underneath,

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Optional
 
-from .ideal_arith import Ideal, PrimeIdeal, mu_ideal, norm
+from .ideal_arith import Ideal, PrimeIdeal, norm
 from .primes import primes_up_to
 
 _WEIGHT_CAP = 300_000
@@ -93,16 +92,14 @@ def sieve_value(W: SieveWeights, b: Ideal) -> int:
     return total
 
 
-def buchstab_split(
-    W: SieveWeights, b: Ideal, window: Optional[tuple] = None
-) -> tuple[int, int]:
+def buchstab_split(W: SieveWeights, b: Ideal) -> tuple[int, int]:
     """(main, tail) with main the full weighted divisor sum and tail its
     restriction to window norms; their difference is exactly 1.
 
     Valid whenever every non-unit ideal in the support lies inside the
-    window (lo, hi]; a violation is an error, not a wrong answer.
+    window (lower_gap, upper_cut]; a violation is an error, not a wrong answer.
     """
-    lo, hi = window if window is not None else (W.lower_gap, W.upper_cut)
+    lo, hi = W.lower_gap, W.upper_cut
     for d, wt in W.weights.items():
         if wt and not d.is_unit:
             nd = norm(d)

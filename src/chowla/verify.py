@@ -48,7 +48,6 @@ from .sieve_weights import (
 )
 from .vaughan import (
     VaughanParams,
-    beta_all,
     pairing_bound,
     verify_groupings,
     verify_identity,
@@ -64,12 +63,20 @@ _SEED = 20260822
 REPORT_HEADER = "check,cases,failures,status,detail"
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckResult:
     name: str
-    cases: int
-    failures: int
+    cases: int = 0
+    failures: int = 0
     detail: str = ""
+
+    def record(self, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one case; keep the detail of the first failure."""
+        self.cases += 1
+        if not ok:
+            self.failures += 1
+            if not self.detail:
+                self.detail = detail()
 
     @property
     def ok(self) -> bool:
@@ -122,55 +129,34 @@ def _memo_h(rng: random.Random) -> Callable[[Ideal], int]:
 
 def suite_identities(rng: random.Random) -> list[CheckResult]:
     pools = _field_pool()
-    id_fail = 0
-    id_detail = ""
-    grp_fail = 0
-    grp_detail = ""
-    n_id = 300
-    for _ in range(n_id):
+    ident = CheckResult("seven_window_identity")
+    grp = CheckResult("window_groupings")
+    for _ in range(300):
         K, primes = pools[rng.randrange(len(pools))]
         a = _random_ideal(rng, primes)
         P = _random_params(rng, [q for q, _ in a.factors])
         h = _memo_h(rng)
-        if not verify_identity(a, h, P):
-            id_fail += 1
-            if not id_detail:
-                id_detail = f"a={a!r} params=({P.y};{P.u};{P.w}) Q={sorted(P.Q)!r}"
-        if not verify_groupings(a, h, P):
-            grp_fail += 1
-            if not grp_detail:
-                grp_detail = f"a={a!r} params=({P.y};{P.u};{P.w})"
+        ident.record(
+            verify_identity(a, h, P),
+            lambda: f"a={a!r} params=({P.y};{P.u};{P.w}) Q={sorted(P.Q)!r}",
+        )
+        grp.record(verify_groupings(a, h, P), lambda: f"a={a!r} params=({P.y};{P.u};{P.w})")
 
-    flip_fail = 0
-    flip_detail = ""
-    pair_fail = 0
-    pair_detail = ""
-    n_flip = 200
-    for _ in range(n_flip):
+    flip = CheckResult("mobius_window_flip")
+    pair = CheckResult("divisor_pairing_bound")
+    for _ in range(200):
         K, primes = pools[rng.randrange(len(pools))]
         e = _random_ideal(rng, primes)
         while e.is_unit:
             e = _random_ideal(rng, primes)
         u = Fraction(rng.randint(1, 500), rng.randint(1, 5))
-        rec = window_flip(e, u)
-        if not rec.ok:
-            flip_fail += 1
-            if not flip_detail:
-                flip_detail = f"e={e!r} u={u}"
+        flip.record(window_flip(e, u).ok, lambda: f"e={e!r} u={u}")
         l = max(q.norm for q, _ in e.factors)
         y = Fraction(rng.randint(1, 400), rng.randint(1, 3))
         lhs, rhs = pairing_bound(e, y, l)
-        if lhs > rhs:
-            pair_fail += 1
-            if not pair_detail:
-                pair_detail = f"e={e!r} y={y} l={l} lhs={lhs} rhs={rhs}"
+        pair.record(lhs <= rhs, lambda: f"e={e!r} y={y} l={l} lhs={lhs} rhs={rhs}")
 
-    return [
-        CheckResult("seven_window_identity", n_id, id_fail, id_detail),
-        CheckResult("window_groupings", n_id, grp_fail, grp_detail),
-        CheckResult("mobius_window_flip", n_flip, flip_fail, flip_detail),
-        CheckResult("divisor_pairing_bound", n_flip, pair_fail, pair_detail),
-    ]
+    return [ident, grp, flip, pair]
 
 
 _POSTULATE_CONFIGS = (
@@ -212,19 +198,13 @@ def suite_sieve(
     form = BinaryCubicForm(1, 0, 0, 2)
     region = parse_region("box:-1,1,-1,1").scale(25)
     grid = parity_grid(form, region, keep_arrays=True)
-    grid_fail = 0
-    grid_detail = ""
-    cases = 0
+    grid_check = CheckResult("grid_vs_trial_division")
     for y in range(-25, 26):
         for x in range(-25, 26):
-            cases += 1
             v = form(x, y)
             want = (0, 0, 0) if v == 0 else (mu_int(v), liouville(v), omega_sign(v))
             got = tuple(int(g[y + 25, x + 25]) for g in (grid.mu, grid.lam, grid.omg))
-            if got != want:
-                grid_fail += 1
-                if not grid_detail:
-                    grid_detail = f"(x;y)=({x};{y}) got={got} want={want}"
+            grid_check.record(got == want, lambda: f"(x;y)=({x};{y}) got={got} want={want}")
 
     # 2. Mobius integrity of the weight table (fault-injection target)
     K = build_field(form)
@@ -232,62 +212,47 @@ def suite_sieve(
     W = brun_pure_weights(primes, 200)
     if corrupt is not None:
         corrupt(W)
-    wt_fail = 0
-    wt_detail = ""
+    weights = CheckResult("weights_are_mobius")
     for d, wt in sorted(W.weights.items(), key=lambda kv: (norm(kv[0]), repr(kv[0]))):
-        if wt != mu_ideal(d):
-            wt_fail += 1
-            if not wt_detail:
-                wt_detail = f"b={d!r} weight={wt} mobius={mu_ideal(d)}"
+        weights.record(wt == mu_ideal(d), lambda: f"b={d!r} weight={wt} mobius={mu_ideal(d)}")
 
     # 3. even-truncation upper bound at infinite cut
-    bon_fail = 0
-    bon_detail = ""
-    n_bon = 150
-    for _ in range(n_bon):
+    trunc = CheckResult("upper_bound_truncation")
+    for _ in range(150):
         depth = rng.choice((2, 4, 6))
         Wb = brun_pure_weights(primes[: rng.randint(1, 8)], math.inf, depth)
         b = _random_ideal(rng, primes, max_primes=5)
         s = sieve_value(Wb, b)
         coprime = all(q not in Wb.P for q, _ in b.factors)
-        if s < (1 if coprime else 0):
-            bon_fail += 1
-            if not bon_detail:
-                bon_detail = f"b={b!r} depth={depth} value={s}"
+        trunc.record(s >= (1 if coprime else 0), lambda: f"b={b!r} depth={depth} value={s}")
 
     # 4. Buchstab telescope
-    buch_fail = 0
-    buch_detail = ""
-    n_buch = 150
-    for _ in range(n_buch):
+    buch = CheckResult("buchstab_telescope")
+    for _ in range(150):
         depth = rng.choice((2, 4))
         cut = rng.randint(20, 300)
         Wb = brun_pure_weights(primes[: rng.randint(1, 8)], cut, depth)
         b = _random_ideal(rng, primes, max_primes=5)
         try:
             main, tail = buchstab_split(Wb, b)
-            if main - tail != 1:
-                raise ArithmeticError
+            err = None if main - tail == 1 else ArithmeticError()
         except (ValueError, ArithmeticError) as exc:
-            buch_fail += 1
-            if not buch_detail:
-                buch_detail = f"b={b!r} cut={cut} depth={depth} err={exc}"
+            err = exc
+        buch.record(err is None, lambda: f"b={b!r} cut={cut} depth={depth} err={err}")
 
     # 5. divisor-window exchange (pinned all-ones table + random sparse tables)
-    anti_fail = 0
-    anti_detail = ""
+    anti = CheckResult("divisor_window_exchange")
     Wi = integer_brun_weights(4, 60, 2)
     F = {(a, b): 1 for a in range(1, 101) for b in range(1, 101)}
     rec = anti_sieve_split(F, 100, Fraction(1, 2), 2, Wi)
-    n_anti = 1
-    if not (rec.identity_ok and rec.cov_ok):
-        anti_fail += 1
-        anti_detail = (
+    anti.record(
+        rec.identity_ok and rec.cov_ok,
+        lambda: (
             f"all-ones window={rec.window_sum} weighted={rec.weighted_sum} "
             f"corr={rec.correction} cov={rec.correction_cov}"
-        )
+        ),
+    )
     for _ in range(100):
-        n_anti += 1
         table = {
             (rng.randint(1, 400), rng.randint(1, 60)): rng.randint(-3, 3)
             for _ in range(rng.randint(1, 25))
@@ -299,18 +264,12 @@ def suite_sieve(
         yv = rng.randint(2, 6)
         Wc = integer_brun_weights(yv * yv, rng.randint(yv * yv + 1, 120), 2)
         rec = anti_sieve_split(table, x, alpha, yv, Wc)
-        if not (rec.identity_ok and rec.cov_ok):
-            anti_fail += 1
-            if not anti_detail:
-                anti_detail = f"x={x} alpha={alpha} y={yv} table={sorted(table)!r}"
+        anti.record(
+            rec.identity_ok and rec.cov_ok,
+            lambda: f"x={x} alpha={alpha} y={yv} table={sorted(table)!r}",
+        )
 
-    return [
-        CheckResult("grid_vs_trial_division", cases, grid_fail, grid_detail),
-        CheckResult("weights_are_mobius", len(W.weights), wt_fail, wt_detail),
-        CheckResult("upper_bound_truncation", n_bon, bon_fail, bon_detail),
-        CheckResult("buchstab_telescope", n_buch, buch_fail, buch_detail),
-        CheckResult("divisor_window_exchange", n_anti, anti_fail, anti_detail),
-    ]
+    return [grid_check, weights, trunc, buch, anti]
 
 
 # ------------------------------------------------------------- driver
@@ -319,7 +278,6 @@ def suite_sieve(
 def run_suite(
     name: str,
     out_dir: str = "verify_reports",
-    seed: int = _SEED,
     echo: Optional[Callable[[str], None]] = None,
     _corrupt: Optional[Callable] = None,
 ) -> int:
@@ -330,7 +288,7 @@ def run_suite(
     chosen = ("identities", "postulates", "sieve") if name == "all" else (name,)
     exit_code = 0
     for suite in chosen:
-        rng = random.Random(seed)
+        rng = random.Random(_SEED)
         if suite == "identities":
             results = suite_identities(rng)
         elif suite == "postulates":

@@ -7,6 +7,7 @@ division, plain lattice scans.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -113,6 +114,68 @@ def grid_mu_sums(form, N: int) -> tuple[int, int]:
     mu[origin] = 0
     points = vals.size - 1
     return points, int(mu.astype(np.int64).sum())
+
+
+# ------------------------------------------------------------- cubic oracles
+
+
+def brute_splitting(coeffs, p: int) -> tuple[list[tuple[int, int]], int]:
+    """Splitting type of a monic cubic mod p by synthetic division.
+
+    Divides t - r out of the lowest-first coefficient list for every r in
+    GF(p), as often as it goes; returns ([(root, multiplicity), ...], degree
+    of the rootless rest).
+    """
+    rest = [c % p for c in coeffs]
+    found = []
+    for r in range(p):
+        mult = 0
+        while len(rest) > 1:
+            acc, quot = 0, []
+            for c in reversed(rest):
+                acc = (acc * r + c) % p
+                quot.append(acc)
+            if quot.pop():
+                break
+            rest = quot[::-1]
+            mult += 1
+        if mult:
+            found.append((r, mult))
+    return found, len(rest) - 1
+
+
+def _det3(m) -> int:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def index_divisible_by_integrality(coeffs, p: int) -> bool:
+    """Does p divide [O_K : Z[theta]], theta a root of the monic cubic?
+
+    True exactly when some nonzero (a + b*theta + c*theta^2)/p with
+    0 <= a, b, c < p is an algebraic integer, i.e. when the element
+    beta = a + b*theta + c*theta^2 has trace = 0 mod p, second symmetric
+    function = 0 mod p^2 and norm = 0 mod p^3.  The three are read off
+    the matrix of beta on the basis 1, theta, theta^2.
+    """
+    d0, c1, b2, _ = coeffs
+    theta = [[0, 0, -d0], [1, 0, -c1], [0, 1, -b2]]  # columns: theta * basis
+    theta2 = [[sum(theta[i][k] * theta[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    for a, b, c in itertools.product(range(p), repeat=3):
+        if a == b == c == 0:
+            continue
+        m = [
+            [(a if i == j else 0) + b * theta[i][j] + c * theta2[i][j] for j in range(3)]
+            for i in range(3)
+        ]
+        trace = m[0][0] + m[1][1] + m[2][2]
+        e2 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i in range(3) for j in range(i + 1, 3))
+        if trace % p == 0 and e2 % (p * p) == 0 and _det3(m) % p**3 == 0:
+            return True
+    return False
 
 
 # ------------------------------------------------------------- ideal builders

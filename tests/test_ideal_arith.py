@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chowla.cubic_form import BinaryCubicForm
+from chowla.cubic_form import BinaryCubicForm, is_irreducible
 from chowla.ideal_arith import (
     Ideal,
     IndexBoundError,
@@ -25,7 +25,13 @@ from chowla.ideal_arith import (
     valuation_at_point,
 )
 
-from helpers import random_ideal, simple_primes, trial_factor
+from helpers import (
+    brute_splitting,
+    index_divisible_by_integrality,
+    random_ideal,
+    simple_primes,
+    trial_factor,
+)
 
 
 def test_build_field_anchors(K2, K23, K31):
@@ -81,6 +87,59 @@ def test_factorization_complete(K2, K23, K31):
             # ramification only at discriminant primes
             if K.disc % p:
                 assert all(q.ramification == 1 for q in qs)
+
+
+def _oracle_forms(count: int = 80) -> list[BinaryCubicForm]:
+    """Seeded monic irreducible cubics: every other one random, the rest
+    (t - r)^2 (t - s) + p*k(t), so that repeated roots mod a small prime
+    (and p^2 | disc, with either index outcome) turn up often."""
+    rng = random.Random(2005)
+    forms = []
+    while len(forms) < count:
+        if len(forms) % 2:
+            b, c, d = (rng.randint(-20, 20) for _ in range(3))
+        else:
+            p = rng.choice((2, 3, 5, 7))
+            r, s = rng.randrange(p), rng.randrange(p)
+            k0, k1, k2 = (p * rng.randint(-3, 3) for _ in range(3))
+            b, c, d = -2 * r - s + k2, r * r + 2 * r * s + k1, -r * r * s + k0
+        g = BinaryCubicForm(1, b, c, d)
+        if is_irreducible(g):
+            forms.append(g)
+    return forms
+
+
+def test_splitting_law_vs_synthetic_division():
+    kinds = set()
+    for g in _oracle_forms():
+        K = build_field(g)
+        for p in simple_primes(47):
+            if p in K.index_bound:
+                continue
+            roots, rest = brute_splitting(K.min_poly, p)
+            qs = factor_prime(K, p)
+            got_roots = [(q.root_tag, q.ramification) for q in qs if q.residue_degree == 1]
+            higher = [q for q in qs if q.residue_degree > 1]
+            assert got_roots == roots, (g, p)
+            assert [(q.residue_degree, q.ramification) for q in higher] == (
+                [(rest, 1)] if rest else []
+            ), (g, p)
+            kinds.add((tuple(sorted((m for _, m in roots), reverse=True)), rest))
+    # split, one root + quadratic, inert, double root, triple root
+    assert kinds == {((1, 1, 1), 0), ((1,), 2), ((), 3), ((2, 1), 0), ((3,), 0)}
+
+
+def test_index_bound_vs_integrality_oracle():
+    outcomes = set()
+    for g in _oracle_forms():
+        K = build_field(g)
+        for p in simple_primes(13):
+            if K.disc % (p * p):
+                continue
+            want = index_divisible_by_integrality(K.min_poly, p)
+            assert (p in K.index_bound) == want, (g, p)
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_prime_ideals_up_to(K2):
