@@ -15,7 +15,14 @@ class ReducibleFormError(ValueError):
 
 
 class ExactRangeError(ArithmeticError):
-    """Raised when a requested evaluation could leave the exact 128-bit range."""
+    """Raised when a request is past an exact-arithmetic range guard.
+
+    The guards: `check_range` keeps single form values under 2^127; the
+    grid sieve keeps 4 * H(f) * (m + 1)^3 under 2^62 on a grid of half-width
+    m, so its int64 values cannot wrap; and the sieve caps its grids at 230
+    million cells, a factor table at 4.2 million cells (8 times that for a
+    parity grid that keeps its per-point arrays).
+    """
 
 
 # All form values are kept inside signed 128-bit territory.  Python ints never

@@ -1,7 +1,7 @@
-"""Dense polynomial arithmetic mod p for small degrees.
+"""Polynomials of degree <= 3 mod a prime p: roots, splitting type, lifting.
 
-Coefficient lists are lowest-degree-first. Everything here assumes a prime
-modulus; degree stays <= 3 throughout the package so no FFT, no sparsity.
+Coefficient lists are lowest-degree-first. Past a small-prime scan, roots
+are found in closed form on Python ints, so every p takes the same path.
 """
 from __future__ import annotations
 
@@ -20,59 +20,6 @@ def poly_reduce(a, p: int) -> list[int]:
     return _trim([c % p for c in a])
 
 
-def poly_mul(a, b, p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
-
-
-def poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("poly division by zero")
-    a = a[:]
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        d = len(a) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] = (a[d + i] - c * cb) % p
-        _trim(a)
-    return _trim(q), a
-
-
-def poly_gcd(a, b, p: int) -> list[int]:
-    """Monic gcd in GF(p)[t]."""
-    a, b = poly_reduce(a, p), poly_reduce(b, p)
-    while b:
-        a, b = b, poly_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def poly_mulmod(a, b, m, p: int) -> list[int]:
-    return poly_divmod(poly_mul(a, b, p), m, p)[1]
-
-
-def poly_powmod(a, e: int, m, p: int) -> list[int]:
-    result = [1]
-    a = poly_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            result = poly_mulmod(result, a, m, p)
-        a = poly_mulmod(a, a, m, p)
-        e >>= 1
-    return result
-
-
 def poly_eval(a, x: int, p: int) -> int:
     acc = 0
     for c in reversed(a):
@@ -88,43 +35,135 @@ def _roots_brute(coeffs, p: int) -> list[int]:
     return [int(r) for r in np.nonzero(acc == 0)[0]]
 
 
-def _split_linear_product(g: list[int], p: int) -> list[int]:
-    """Roots of g = product of distinct monic linear factors, deg g >= 1, p odd."""
-    deg = len(g) - 1
-    if deg == 0:
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of a nonzero quadratic residue n mod an odd prime p."""
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z a non-residue
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _quadratic_roots(b: int, c: int, p: int) -> list[int]:
+    """Distinct roots of t^2 + b*t + c mod an odd prime p, sorted."""
+    disc = (b * b - 4 * c) % p
+    half = (p + 1) // 2
+    if disc == 0:
+        return [-b * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
         return []
-    if deg == 1:
-        return [(-g[0]) * pow(g[1], -1, p) % p]
-    # Cantor-Zassenhaus with a deterministic shift sequence
+    s = _sqrt_mod(disc, p)
+    return sorted(((s - b) * half % p, (-s - b) * half % p))
+
+
+def _pow_linear(delta: int, e: int, t3, t4, p: int) -> tuple[int, int, int]:
+    """(t + delta)^e mod a monic cubic f, e >= 1, as the coefficient triple
+    (c0, c1, c2) of c0 + c1*t + c2*t^2; t3 and t4 are t^3 and t^4 mod f."""
+    t30, t31, t32 = t3
+    t40, t41, t42 = t4
+    a0, a1, a2 = delta % p, 1, 0
+    for bit in bin(e)[3:]:
+        e3, e4 = 2 * a1 * a2, a2 * a2
+        a0, a1, a2 = (
+            (a0 * a0 + e3 * t30 + e4 * t40) % p,
+            (2 * a0 * a1 + e3 * t31 + e4 * t41) % p,
+            (2 * a0 * a2 + a1 * a1 + e3 * t32 + e4 * t42) % p,
+        )
+        if bit == "1":
+            a0, a1, a2 = (
+                (a2 * t30 + delta * a0) % p,
+                (a0 + a2 * t31 + delta * a1) % p,
+                (a1 + a2 * t32 + delta * a2) % p,
+            )
+    return a0, a1, a2
+
+
+def _gcd_root(B: int, C: int, D: int, h, p: int):
+    """A root of f = t^3 + B*t^2 + C*t + D read off gcd(f, h), h = (h0, h1, h2) != 0.
+
+    Returns (r, True) when h made monic divides f, with r the root of
+    f / h; otherwise gcd(f, h) = gcd(h, f mod h) is at most linear, and
+    (x, False) is returned when f vanishes at x, the root of whichever of
+    h and f mod h is linear; else None.
+    """
+    h0, h1, h2 = h
+    if h2:
+        inv = pow(h2, -1, p)
+        g1, g0 = h1 * inv % p, h0 * inv % p
+        # f mod (t^2 + g1*t + g0), using t^3 = (g1^2 - g0)*t + g1*g0 there
+        h1 = (g1 * g1 - g0 - B * g1 + C) % p
+        h0 = (g1 * g0 - B * g0 + D) % p
+        if not (h1 or h0):
+            return (g1 - B) % p, True
+    if not h1:
+        return None
+    x = -h0 * pow(h1, -1, p) % p
+    return (x, False) if (((x + B) * x + C) * x + D) % p == 0 else None
+
+
+def _cubic_roots(D: int, C: int, B: int, p: int) -> list[int]:
+    """Distinct roots of the monic t^3 + B*t^2 + C*t + D mod an odd prime p."""
+    t3 = (-D % p, -C % p, -B % p)
+    t4 = (B * D % p, (B * C - D) % p, (B * B - C) % p)
+    h0, h1, h2 = _pow_linear(0, p, t3, t4, p)
+    h = (h0, (h1 - 1) % p, h2)  # t^p - t mod f
+    if any(h):
+        # every root of f is a root of t^p - t, so the gcd holds all of them
+        found = _gcd_root(B, C, D, h, p)
+        if found is None:
+            return []
+        r, repeated = found
+        # a degree-2 gcd: two distinct roots, r the double one
+        return sorted((r, (-B - 2 * r) % p)) if repeated else [r]
+    # f divides t^p - t: three distinct roots; Cantor-Zassenhaus finds one
     for delta in range(p):
-        h = poly_powmod([delta, 1], (p - 1) // 2, g, p)
-        h = poly_reduce([(h[0] - 1) if h else -1] + h[1:], p)
-        d = poly_gcd(g, h, p)
-        if 0 < len(d) - 1 < deg:
-            q = poly_divmod(g, d, p)[0]
-            return sorted(_split_linear_product(d, p) + _split_linear_product(q, p))
+        w0, w1, w2 = _pow_linear(delta, (p - 1) // 2, t3, t4, p)
+        w = ((w0 - 1) % p, w1, w2)
+        found = _gcd_root(B, C, D, w, p) if any(w) else None
+        if found is not None:
+            r = found[0]
+            e1 = (B + r) % p  # f / (t - r) = t^2 + e1*t + e0
+            return sorted([r] + _quadratic_roots(e1, (C + r * e1) % p, p))
     raise ArithmeticError(f"equal-degree split failed mod {p}")
 
 
 def roots_mod_p(coeffs, p: int) -> list[int]:
     """Distinct roots in GF(p) of a polynomial of degree <= 3, sorted.
 
-    Scans all residues for small p; otherwise finds the product of the
-    distinct linear factors via gcd(t^p - t, f) and splits it.
+    Scans all residues for small p.  Otherwise the polynomial is made monic
+    and solved in closed form on Python ints: a line directly, a quadratic
+    by its discriminant, a cubic through gcd(f, t^p - t) and, when f
+    splits completely, one Cantor-Zassenhaus step and the quadratic formula.
     """
     f = poly_reduce(coeffs, p)
     if not f:
         raise ValueError(f"polynomial vanishes identically mod {p}")
     if p < _BRUTE_LIMIT:
-        return _roots_brute(coeffs, p)
-    tp = poly_powmod([0, 1], p, f, p)  # t^p mod f
-    while len(tp) < 2:
-        tp.append(0)
-    diff = poly_reduce([tp[0], tp[1] - 1] + list(tp[2:]), p)
-    g = poly_gcd(f, diff, p)
-    if not g or len(g) == 1:
+        return _roots_brute(f, p)
+    inv = pow(f[-1], -1, p)
+    monic = [c * inv % p for c in f[:-1]]
+    if len(monic) == 0:
         return []
-    return _split_linear_product(g, p)
+    if len(monic) == 1:
+        return [-monic[0] % p]
+    if len(monic) == 2:
+        return _quadratic_roots(monic[1], monic[0], p)
+    return _cubic_roots(*monic, p)
 
 
 def _derivative(coeffs) -> list[int]:

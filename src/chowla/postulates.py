@@ -55,6 +55,7 @@ class SequenceAF:
     quarantine: list  # points whose value meets an index-risk prime
 
     _sorted_norms: Optional[list] = None
+    _by_prime: Optional[dict] = None  # PrimeIdeal -> the support ideals it divides
 
     @property
     def d0_d1_coprime(self) -> bool:
@@ -73,6 +74,15 @@ class SequenceAF:
                 table.append((nm, acc))
             self._sorted_norms = table
         return self._sorted_norms
+
+    def _prime_index(self) -> dict:
+        if self._by_prime is None:
+            index: dict = {}
+            for a in self.support:
+                for q, _ in a.factors:
+                    index.setdefault(q, []).append(a)
+            self._by_prime = index
+        return self._by_prime
 
 
 def build_sequence(
@@ -126,8 +136,10 @@ def A_d(seq: SequenceAF, d: Ideal, t) -> int:
     """Count of points whose ideal is divisible by d, with norm at most t."""
     if d.is_unit:
         return A(seq, t)
+    # every multiple of d is listed under d's first prime
+    candidates = seq._prime_index().get(d.factors[0][0], ())
     return sum(
-        c for a, c in seq.support.items() if norm(a) <= t and d.divides(a)
+        seq.support[a] for a in candidates if norm(a) <= t and d.divides(a)
     )
 
 

@@ -44,13 +44,15 @@ def _cases(p: int, rng: random.Random) -> list[list[int]]:
 
 _NEAR_LIMIT = [p for p in simple_primes(3089) if p >= 2903]
 _NEAR_1E5 = [99961, 99971, 99989, 99991, 100003, 100019]
+# p = 1 mod 2^9 ... 2^16: square roots take the long Tonelli-Shanks loop
+_DEEP_2ADIC = [7681, 12289, 40961, 65537]
 
 
 def test_primes_straddle_brute_limit():
     assert min(_NEAR_LIMIT) < _BRUTE_LIMIT < max(_NEAR_LIMIT)
 
 
-@pytest.mark.parametrize("p", _NEAR_LIMIT + _NEAR_1E5)
+@pytest.mark.parametrize("p", _NEAR_LIMIT + _NEAR_1E5 + _DEEP_2ADIC)
 def test_roots_mod_p_vs_scan(p):
     rng = random.Random(p)
     for coeffs in _cases(p, rng):
@@ -63,6 +65,27 @@ def test_roots_mod_p_chosen_roots():
         assert roots_mod_p(_from_roots((3, 3, 6), lead=4), p) == [3, 6]
         assert roots_mod_p(_from_roots((4, 4, 4)), p) == [4]
         assert roots_mod_p([0, 0, 0, 1], p) == [0]
+
+
+@pytest.mark.parametrize("p", [2**31 + 11, 10**12 + 39])
+def test_roots_mod_p_large_primes(p):
+    """Primes too large to scan, both = 1 mod 3; cubics with known roots."""
+    rng = random.Random(p)
+    r1, r2, r3 = rng.sample(range(p), 3)
+    lead = rng.randint(2, p - 1)
+    n = next(n for n in iter(lambda: rng.randrange(2, p), None) if pow(n, (p - 1) // 2, p) == p - 1)
+    c = next(c for c in iter(lambda: rng.randrange(2, p), None) if pow(c, (p - 1) // 3, p) != 1)
+    assert roots_mod_p(_from_roots((r1, r2, r3), lead), p) == sorted((r1, r2, r3))
+    assert roots_mod_p(_from_roots((r1, r2, r1)), p) == sorted((r1, r2))
+    assert roots_mod_p(_from_roots((r3, r3, r3), lead), p) == [r3]
+    # (t - r1)(t^2 - n) with n a non-residue: one root
+    assert roots_mod_p([r1 * n, -n, -r1, 1], p) == [r1]
+    # t^3 - c with c a non-cube: no root
+    assert roots_mod_p([-c, 0, 0, 1], p) == []
+    # p | a: the quadratic left over has two, one or no roots
+    assert roots_mod_p(_from_roots((r1, r2), lead) + [7 * p], p) == sorted((r1, r2))
+    assert roots_mod_p(_from_roots((r2, r2)) + [-p], p) == [r2]
+    assert roots_mod_p([-n, 0, 1, p], p) == []
 
 
 @pytest.mark.parametrize("p", [5, 2999, 3001, 99991])

@@ -71,6 +71,30 @@ def test_counting_functions(seq_small, primes2):
     assert A_d(seq, Ideal.unit(), 62) == A(seq, 62)
 
 
+@pytest.mark.parametrize("which", ["seq_small", "seq_medium"])
+def test_A_d_vs_support_scan(K2, which, request):
+    seq = request.getfixturevalue(which)
+    norms = sorted(norm(a) for a in seq.support)
+    ts = (0, 1, norms[0] - 1, norms[0], norms[len(norms) // 2], seq.n, 10**9)
+    in_support = {q for a in seq.support for q, _ in a.factors}
+    primes = prime_ideals_up_to(K2, 200)
+    outside = next(q for q in prime_ideals_up_to(K2, 2000) if q not in in_support)
+    ds = [Ideal.unit(), Ideal.prime(outside)]
+    for q in primes:
+        e = 1
+        while q.norm**e <= 200:
+            ds.append(Ideal.prime(q, e))
+            e += 1
+    small = [q for q in primes if q.norm <= 40]
+    ds += [Ideal.prime(q) * Ideal.prime(r) for i, q in enumerate(small) for r in small[i + 1 :]]
+    for d in ds:
+        for t in ts:
+            scan = sum(c for a, c in seq.support.items() if norm(a) <= t and d.divides(a))
+            assert A_d(seq, d, t) == scan, (d, t)
+    assert all(A_d(seq, Ideal.prime(outside), t) == 0 for t in ts)
+    assert any(A_d(seq, d, seq.n) for d in ds if len(d.factors) == 2)
+
+
 def test_coset_restricts_sequence(K2):
     L = parse_coset("coset:5,0,1,1;0,0")  # x = y mod 5
     seq = build_sequence(K2, parse_region("box:-10,10,-10,10"), L)
