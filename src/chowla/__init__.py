@@ -13,7 +13,6 @@ from .cubic_form import (
     BinaryCubicForm,
     ExactRangeError,
     is_irreducible,
-    monicize,
     parse_form,
 )
 from .experiments import (
@@ -83,13 +82,9 @@ from .sieve_weights import (
 )
 from .vaughan import (
     VaughanParams,
-    beta,
     beta_all,
     combine,
-    default_params,
     pairing_bound,
-    schedule_validity,
-    smallest_valid_x,
     sum_star_pairs,
     verify_identity,
     verify_groupings,

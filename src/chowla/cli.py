@@ -131,9 +131,7 @@ def _run_avg(args: argparse.Namespace) -> int:
         form=form,
         alpha=canonical_alpha(args.alpha),
         region=region,
-        region_text=args.region,
         coset=coset,
-        coset_text=args.coset,
         N_list=n_list,
         coprime_only=bool(args.coprime_only),
         epsilon=args.eps if args.eps is not None else 1.0,

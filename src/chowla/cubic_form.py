@@ -76,23 +76,6 @@ class BinaryCubicForm:
         return self.a == 1
 
 
-@dataclass(frozen=True)
-class MonicizationData:
-    """Monic model g plus the data tying it back to the source form.
-
-    scale * f(x, y) == g applied to the mapped point, for every (x, y);
-    the map is (x, y) -> (a*x, y) and scale is a^2.
-    """
-
-    model: BinaryCubicForm
-    scale: int
-    map_matrix: tuple[tuple[int, int], tuple[int, int]]
-
-    def mapped(self, x: int, y: int) -> tuple[int, int]:
-        (m11, m12), (m21, m22) = self.map_matrix
-        return (m11 * x + m12 * y, m21 * x + m22 * y)
-
-
 def parse_form(text: str) -> BinaryCubicForm:
     """Parse 'a,b,c,d' into a form. Whitespace around entries is fine."""
     parts = [t.strip() for t in text.split(",")]
@@ -157,21 +140,6 @@ def _divisors_pos(n: int) -> list[int]:
 def _divisors_signed(n: int) -> list[int]:
     pos = _divisors_pos(n)
     return [-k for k in reversed(pos)] + pos
-
-
-def monicize(f: BinaryCubicForm) -> MonicizationData:
-    """Monic model of an irreducible content-1 form.
-
-    g(X, Y) = X^3 + b X^2 Y + a c X Y^2 + a^2 d Y^3 satisfies
-    a^2 * f(x, y) = g(a x, y).
-    """
-    if content(f) != 1:
-        raise ValueError(f"form has content {content(f)}; divide it out first")
-    if not is_irreducible(f):
-        raise ReducibleFormError("monicize wants an irreducible form")
-    a, b, c, d = f.coeffs
-    g = BinaryCubicForm(1, b, a * c, a * a * d)
-    return MonicizationData(model=g, scale=a * a, map_matrix=((a, 0), (0, 1)))
 
 
 def parse_rational(text: str) -> Fraction:

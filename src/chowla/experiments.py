@@ -79,10 +79,8 @@ class ExperimentConfig:
     form: BinaryCubicForm
     alpha: str
     region: ConvexRegion
-    region_text: str
     N_list: Sequence[int]
     coset: Optional[LatticeCoset] = None
-    coset_text: Optional[str] = None
     coprime_only: bool = False
     epsilon: float = 1.0
     threads: int = 1

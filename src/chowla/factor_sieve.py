@@ -32,6 +32,7 @@ from .region_lattice import ConvexRegion, LatticeCoset
 _INT64_GUARD = 1 << 62
 _TABLE_CELL_CAP = 4_200_000
 _GRID_CELL_CAP = 230_000_000
+_BAND_CELLS = 8_000_000
 
 
 class SieveCorruptionError(RuntimeError):
@@ -374,10 +375,16 @@ def _sieve_band_parity(spec: GridSpec, table, ys: np.ndarray):
     return points, sums, mu_flat.reshape(shape), lam_flat.reshape(shape), omg_flat.reshape(shape)
 
 
-def _bands(spec: GridSpec, threads: int, cell_budget: int = 8_000_000):
-    rows_per = max(1, min(spec.height, cell_budget // max(spec.width, 1)))
+def _bands(spec: GridSpec):
+    """Row bands of near-equal height, each at most _BAND_CELLS cells or
+    one row.
+
+    The count comes from the cell budget alone, not from the thread count:
+    each band repeats the per-prime loop, so extra bands cost more than
+    threads win back.
+    """
+    rows_per = max(1, min(spec.height, _BAND_CELLS // max(spec.width, 1)))
     n_bands = (spec.height + rows_per - 1) // rows_per
-    n_bands = max(n_bands, min(threads, spec.height))
     rows_per = (spec.height + n_bands - 1) // n_bands
     out = []
     y = spec.ymin
@@ -427,7 +434,7 @@ def parity_grid(
         raise ExactRangeError("grid too large to retain per-point arrays")
     bound = _value_bound(spec)
     table = _root_table(f, primes_up_to(math.isqrt(bound)))
-    bands = _bands(spec, threads)
+    bands = _bands(spec)
 
     def work(ys):
         return _sieve_band_parity(spec, table, ys)

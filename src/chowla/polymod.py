@@ -130,8 +130,10 @@ def _cubic_roots(D: int, C: int, B: int, p: int) -> list[int]:
         r, repeated = found
         # a degree-2 gcd: two distinct roots, r the double one
         return sorted((r, (-B - 2 * r) % p)) if repeated else [r]
-    # f divides t^p - t: three distinct roots; Cantor-Zassenhaus finds one
-    for delta in range(p):
+    # f divides t^p - t: three distinct roots; Cantor-Zassenhaus finds one.
+    # delta = 0 never splits a pure cubic t^3 - c: its roots differ by cube
+    # roots of unity, which are squares, so t^((p-1)/2) is one value on all three
+    for delta in range(1, p):
         w0, w1, w2 = _pow_linear(delta, (p - 1) // 2, t3, t4, p)
         w = ((w0 - 1) % p, w1, w2)
         found = _gcd_root(B, C, D, w, p) if any(w) else None

@@ -1,7 +1,5 @@
 """Point-count sequences over ideals, their lattice density model, and the
-postulate battery: exact checks of the density laws (1-3) and measured-only
-reports for the remainder, square-factor, growth, and bilinear conditions
-(4-7), which involve free constants and are therefore never pass/fail.
+postulate battery: exact checks of the density laws (1-3).
 
 The density g of a prime-power-norm ideal compares reciprocal lattice-coset
 indices: restrict the ambient coset to the points the ideal divides, measure
@@ -11,10 +9,9 @@ rational arithmetic on coset indices; an empty restriction has density 0.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .factor_sieve import sieve_grid
 from .ideal_arith import (
@@ -22,13 +19,10 @@ from .ideal_arith import (
     Ideal,
     IndexBoundError,
     compute_D0,
-    divisors,
     ideal_from_point,
     ideal_lattice,
-    mu_ideal,
     norm,
     prime_ideals_up_to,
-    tau,
 )
 from .region_lattice import ConvexRegion, LatticeCoset, RowForm
 
@@ -56,10 +50,6 @@ class SequenceAF:
 
     _sorted_norms: Optional[list] = None
     _by_prime: Optional[dict] = None  # PrimeIdeal -> the support ideals it divides
-
-    @property
-    def d0_d1_coprime(self) -> bool:
-        return math.gcd(self.D0, self.D1) == 1
 
     def total(self) -> int:
         return sum(self.support.values())
@@ -341,144 +331,3 @@ def check_postulates_123(
                         )
                     )
     return PostulateReport(rows, branches, skipped)
-
-
-# ------------------------------------------------- measured conditions 4-7
-
-
-def _ratio_row(postulate: str, params: str, total, denom) -> ReportRow:
-    if denom == 0:
-        return ReportRow(postulate, params, None, "NA")
-    return ReportRow(postulate, params, abs(Fraction(total) / denom), "NA")
-
-
-def _iter_ideal_data(K: CubicField, X: int):
-    """(factor pairs, norm) for every ideal of norm <= X over usable primes."""
-    primes = [q for q in prime_ideals_up_to(K, X)]
-    primes.sort(key=lambda q: q.norm)
-
-    def rec(start: int, pairs: tuple, nm: int):
-        yield pairs, nm
-        for i in range(start, len(primes)):
-            q = primes[i]
-            acc = nm * q.norm
-            if acc > X:
-                break  # primes are norm-sorted, so later ones only grow
-            e = 1
-            while acc <= X:
-                yield from rec(i + 1, pairs + ((q, e),), acc)
-                e += 1
-                acc *= q.norm
-
-    yield from rec(0, (), 1)
-
-
-def measure_type1(
-    seq: SequenceAF,
-    model: DensityModel,
-    C1: int = 0,
-    kappas: Iterable[float] = (1.0, 2.0, 3.0, 5.0),
-) -> list[ReportRow]:
-    """Remainder mass below the two-thirds-power threshold, per kappa.
-
-    Computed without enumerating remainders one ideal at a time: the
-    A-part folds over the support's divisors, the g-part folds over all
-    ideals below the threshold with multiplicative density.
-    """
-    An = A(seq, seq.n)
-    out = []
-    if seq.n < 3 or An == 0:
-        return [ReportRow("4", "degenerate frame", None, "NA")]
-    logn = math.log(seq.n)
-    for kappa in kappas:
-        T = seq.n ** (2.0 / 3.0) / logn**kappa
-        if T < 1:
-            out.append(_ratio_row("4", f"C1={C1},kappa={kappa}", 0, An))
-            continue
-        a_part = Fraction(0)
-        for b, cnt in seq.support.items():
-            sub = sum(
-                Fraction(tau(dd) ** C1) for dd in divisors(b) if norm(dd) <= T
-            )
-            a_part += cnt * sub
-        g_part = Fraction(0)
-        for pairs, nm in _iter_ideal_data(seq.field, int(T)):
-            d = Ideal.from_factors(pairs)
-            g_part += Fraction(tau(d) ** C1) * model.g(d)
-        total = a_part - g_part * An
-        out.append(_ratio_row("4", f"C1={C1},kappa={kappa}", total, An))
-    return out
-
-
-def measure_square(
-    seq: SequenceAF, threshold, C1: int = 1
-) -> ReportRow:
-    """Mass of support ideals with a square factor of norm past the threshold."""
-    An = A(seq, seq.n)
-    total = Fraction(0)
-    for b, cnt in seq.support.items():
-        root_pairs = [(q, e // 2) for q, e in b.factors if e >= 2]
-        if not root_pairs:
-            continue
-        for d in divisors(Ideal.from_factors(root_pairs)):
-            if not d.is_unit and norm(d) > threshold:
-                total += Fraction(tau(d) ** C1) * cnt
-    return _ratio_row("5", f"C1={C1},threshold={threshold}", total, An)
-
-
-def measure_crude(
-    seq: SequenceAF, C1: int = 1, kappas: Iterable[float] = (1.0, 2.0, 5.0)
-) -> list[ReportRow]:
-    """Divisor-weighted mass below sliding norm thresholds (growth control)."""
-    An = A(seq, seq.n)
-    out = []
-    if seq.n < 3 or An == 0:
-        return [ReportRow("6", "degenerate frame", None, "NA")]
-    logn = math.log(seq.n)
-    for kappa in kappas:
-        T = seq.n / logn**kappa
-        total = sum(
-            Fraction(tau(a) ** C1) * c
-            for a, c in seq.support.items()
-            if norm(a) <= T
-        )
-        out.append(_ratio_row("6", f"C1={C1},kappa={kappa}", total, An))
-    return out
-
-
-def bilinear_d(
-    c: Callable[[Ideal], object], D: int, ell, a: Ideal
-) -> object:
-    """Windowed Mobius convolution: sum over divisors of a, coprime to D in
-    norm, of c at the cofactor times the Mobius value, norms above ell only."""
-    total = 0
-    for d in divisors(a):
-        if math.gcd(norm(d), D) != 1:
-            continue
-        if norm(d) > ell:
-            m = mu_ideal(d)
-            if m:
-                total = total + c(a.divide(d)) * m
-    return total
-
-
-def measure_bilinear(
-    seq: SequenceAF,
-    b: Callable[[Ideal], object],
-    c: Callable[[Ideal], object],
-    D: int,
-    ell,
-    v,
-) -> ReportRow:
-    """The bilinear pairing over all two-part splits of the support, with the
-    second part's norm confined to [v, 2v)."""
-    if D < 1 or (seq.D0 * seq.D1) % D != 0:
-        raise ValueError("D must divide D0*D1")
-    An = A(seq, seq.n)
-    total = 0
-    for m, cnt in seq.support.items():
-        for bb in divisors(m):
-            nb = norm(bb)
-            if v <= nb < 2 * v:
-                total = total + b(m.divide(bb)) * bilinear_d(c, D, ell, bb) * cnt
-    return _ratio_row("7", f"D={D},ell={ell},v={v}", total, An)

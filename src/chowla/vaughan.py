@@ -11,11 +11,10 @@ full enumeration.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .ideal_arith import (
     Ideal,
@@ -28,14 +27,6 @@ from .ideal_arith import (
     tau,
 )
 
-_E_E = math.exp(math.e)  # schedule defined only above e^e
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(*float(x).as_integer_ratio())
-
 
 @dataclass(frozen=True)
 class VaughanParams:
@@ -45,88 +36,10 @@ class VaughanParams:
     u: Fraction
     w: Fraction
     Q: frozenset[PrimeIdeal] = frozenset()
-    x_scale: Optional[float] = None
-    epsilon: Optional[float] = None
-    z: Optional[float] = None
 
     @staticmethod
     def make(y, u, w, Q: Iterable[PrimeIdeal] = ()) -> "VaughanParams":
-        return VaughanParams(_as_fraction(y), _as_fraction(u), _as_fraction(w), frozenset(Q))
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        """Whether y <= u <= w, the hypothesis the decomposition needs."""
-        return self.y <= self.u <= self.w
-
-
-def default_params(x: float, epsilon: float, Q: Iterable[PrimeIdeal] = ()) -> VaughanParams:
-    """The standard schedule: z from the double-log scale, then the three cuts.
-
-    z = exp((log log x) * (log log log x)^(epsilon/2)), y = x^(1/3) z^-2,
-    u = x^(1/3) z, w = x^(1/2) z^-1.  Defined only for x > e^e.  The result
-    records z and may fail the y <= u <= w hypothesis at small x; check
-    hypothesis_ok (see smallest_valid_x for where the schedule turns valid).
-    """
-    if not x > _E_E:
-        raise ValueError("parameter schedule undefined: need x > e^e")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    lll = math.log(math.log(math.log(x)))
-    if lll <= 0 and epsilon / 2 != int(epsilon / 2):
-        raise ValueError("parameter schedule undefined: log log log x <= 0")
-    z = math.exp(math.log(math.log(x)) * math.log(math.log(math.log(x))) ** (epsilon / 2))
-    cbrt = x ** (1.0 / 3.0)
-    y = cbrt / (z * z)
-    u = cbrt * z
-    w = math.sqrt(x) / z
-    return VaughanParams(
-        _as_fraction(y), _as_fraction(u), _as_fraction(w), frozenset(Q), x, epsilon, z
-    )
-
-
-@dataclass(frozen=True)
-class ScheduleValidity:
-    """Where the default schedule satisfies its own hypothesis y <= u <= w.
-
-    The region is not monotone: z tends to 1 at the lower end of the domain,
-    so a sliver just above e^e is valid, then u > w over a long middle
-    stretch, and validity returns for good only at very large x.
-    """
-
-    first_valid: Optional[float]  # smallest valid x found
-    valid_from: Optional[float]  # threshold after which every sampled x is valid
-    always_valid: bool  # no invalid x sampled at all
-
-
-def schedule_validity(epsilon: float, hi: float = 1e40, grid: int = 4000) -> ScheduleValidity:
-    """Scan a log-spaced grid above e^e and bisect the validity boundaries."""
-
-    def ok(x: float) -> bool:
-        return default_params(x, epsilon).hypothesis_ok
-
-    lo_l = math.log(_E_E) + 1e-9
-    hi_l = math.log(hi)
-    xs = [math.exp(lo_l + (hi_l - lo_l) * i / (grid - 1)) for i in range(grid)]
-    flags = [ok(x) for x in xs]
-    if all(flags):
-        return ScheduleValidity(xs[0], xs[0], True)
-    first_valid = next((x for x, f in zip(xs, flags) if f), None)
-    last_bad = max(i for i, f in enumerate(flags) if not f)
-    if last_bad == grid - 1:
-        raise ValueError(f"schedule still invalid at {hi:g}")
-    bad_l, good_l = math.log(xs[last_bad]), math.log(xs[last_bad + 1])
-    while good_l - bad_l > 1e-4 * good_l:
-        mid = (bad_l + good_l) / 2
-        if ok(math.exp(mid)):
-            good_l = mid
-        else:
-            bad_l = mid
-    return ScheduleValidity(first_valid, math.exp(good_l), False)
-
-
-def smallest_valid_x(epsilon: float, hi: float = 1e40) -> float:
-    """Threshold past which the schedule stays valid (the useful boundary)."""
-    return schedule_validity(epsilon, hi).valid_from
+        return VaughanParams(Fraction(y), Fraction(u), Fraction(w), frozenset(Q))
 
 
 # ------------------------------------------------------------------ pairs
@@ -189,12 +102,6 @@ def beta_all(a: Ideal, h: Callable[[Ideal], object], P: VaughanParams) -> list:
     return betas[1:]
 
 
-def beta(j: int, a: Ideal, h: Callable[[Ideal], object], P: VaughanParams):
-    if not 1 <= j <= 7:
-        raise ValueError("term index must be 1..7")
-    return beta_all(a, h, P)[j - 1]
-
-
 def combine(betas: list) -> object:
     """beta1 + beta2 + beta3 + beta4 - beta5 - beta6 - beta7."""
     return betas[0] + betas[1] + betas[2] + betas[3] - betas[4] - betas[5] - betas[6]
@@ -250,7 +157,7 @@ def window_flip(e: Ideal, u) -> FlipRecord:
     divisors."""
     if e.is_unit:
         raise ValueError("flip needs a non-unit ideal")
-    u = _as_fraction(u)
+    u = Fraction(u)
     flip_cut = Fraction(norm(rad(e))) / u
     lhs = 0
     rhs = 0
@@ -275,8 +182,8 @@ def pairing_bound(e: Ideal, y, l) -> tuple[int, int]:
     divisors pair off as (o, o*p) with opposite Mobius values, and only pairs
     straddling the cut survive, which the window count dominates.
     """
-    y = _as_fraction(y)
-    l = _as_fraction(l)
+    y = Fraction(y)
+    l = Fraction(l)
     if not any(Fraction(q.norm) <= l for q, _ in e.factors):
         raise ValueError("hypothesis violated: no prime divisor of norm <= l")
     acc = 0

@@ -247,7 +247,6 @@ def _c9_config(threads: int) -> ExperimentConfig:
         form=FORM2,
         alpha="mu",
         region=parse_region("box:-1,1,-1,1"),
-        region_text="box:-1,1,-1,1",
         N_list=[100, 300, 1000, 3000],
         threads=threads,
     )

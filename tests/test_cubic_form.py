@@ -5,12 +5,10 @@ import pytest
 from chowla.cubic_form import (
     BinaryCubicForm,
     ExactRangeError,
-    ReducibleFormError,
     ZeroFormError,
     content,
     evaluate,
     is_irreducible,
-    monicize,
     parse_form,
     parse_rational,
 )
@@ -85,34 +83,6 @@ def test_irreducibility_vs_root_scan():
         if has_int_line:
             # a rational zero line certainly means reducible
             assert not is_irreducible(f)
-
-
-def test_monicize_identity():
-    rng = random.Random(13)
-    checked = 0
-    while checked < 50:
-        f = BinaryCubicForm(
-            rng.randint(1, 5),
-            rng.randint(-5, 5),
-            rng.randint(-5, 5),
-            rng.randint(-5, 5) or 1,
-        )
-        if content(f) != 1 or not is_irreducible(f):
-            continue
-        data = monicize(f)
-        g = data.model
-        assert g.is_monic()
-        for _ in range(20):
-            x, y = rng.randint(-20, 20), rng.randint(-20, 20)
-            assert data.scale * f(x, y) == g(*data.mapped(x, y))
-        checked += 1
-
-
-def test_monicize_rejects_bad_input():
-    with pytest.raises(ValueError):
-        monicize(BinaryCubicForm(2, 0, 0, 4))  # content 2
-    with pytest.raises(ReducibleFormError):
-        monicize(BinaryCubicForm(1, 0, 0, -8))
 
 
 def test_parse_form():

@@ -31,7 +31,6 @@ def _cfg(**kw):
         form=FORM,
         alpha="mu",
         region=BOX,
-        region_text="box:-1,1,-1,1",
         N_list=[10, 25],
     )
     base.update(kw)
@@ -120,7 +119,6 @@ def test_average_is_bounded():
 def test_empty_coset_row():
     cfg = _cfg(
         coset=parse_coset("coset:2,0,0,2;0,0"),  # both coordinates even
-        coset_text="coset:2,0,0,2;0,0",
         coprime_only=True,
         N_list=[10],
     )

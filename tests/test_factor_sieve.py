@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chowla import factor_sieve
 from chowla.cubic_form import BinaryCubicForm, ExactRangeError, is_irreducible
 from chowla.factor_sieve import (
     Factorization,
@@ -146,6 +147,37 @@ def test_grid_thread_determinism():
     assert np.array_equal(g1.mu, g4.mu)
     assert np.array_equal(g1.lam, g4.lam)
     assert np.array_equal(g1.omg, g4.omg)
+
+
+def test_grid_many_bands_match_one_band(monkeypatch):
+    """A grid split into several bands, threaded or not, equals the one-band grid."""
+    f = BinaryCubicForm(6, -5, 3, 7)  # 2 | a and 3 | a: rows p | y struck wholesale
+    region = ConvexRegion.box(-30, 30, -25, 35)
+    L = LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0))
+    one = parity_grid(f, region, L, coprime_only=True, keep_arrays=True)
+    assert len(factor_sieve._bands(one.spec)) == 1
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 12 * one.spec.width)
+    assert len(factor_sieve._bands(one.spec)) >= 4
+    for threads in (1, 3):
+        many = parity_grid(f, region, L, coprime_only=True, threads=threads, keep_arrays=True)
+        assert many.points == one.points > 0
+        assert (many.mu_sum, many.lam_sum, many.omg_sum) == (one.mu_sum, one.lam_sum, one.omg_sum)
+        assert np.array_equal(many.mu, one.mu)
+        assert np.array_equal(many.lam, one.lam)
+        assert np.array_equal(many.omg, one.omg)
+
+
+def test_grid_guards_exact_edges():
+    """The 2^62 value guard and the 230M cell cap, each at its edge; nothing is sieved."""
+    # 4 * H * (m + 1)^3 = 4 * 2^30 * 1024^3 = 2^62 at half-width m = 1023
+    f = BinaryCubicForm(2**30, 0, 0, 3)
+    assert factor_sieve._make_spec(f, ConvexRegion.box(-1022, 1022, -1022, 1022), None, False)
+    with pytest.raises(ExactRangeError):
+        parity_grid(f, ConvexRegion.box(-1023, 1023, -1023, 1023))
+    # 10000 * 23000 cells is the cap exactly; one more row is past it
+    assert factor_sieve._make_spec(F2, ConvexRegion.box(0, 9999, 0, 22999), None, False).cells == 230_000_000
+    with pytest.raises(ExactRangeError):
+        parity_grid(F2, ConvexRegion.box(0, 9999, 0, 23000))
 
 
 def test_sum_channels():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chowla.cubic_form import BinaryCubicForm, is_irreducible
+from chowla.cubic_form import BinaryCubicForm, ReducibleFormError, is_irreducible
 from chowla.ideal_arith import (
     Ideal,
     IndexBoundError,
@@ -56,8 +56,8 @@ def test_build_field_index_bound_detection():
 def test_build_field_rejects_non_monic():
     with pytest.raises(ValueError):
         build_field(BinaryCubicForm(2, 0, 0, 3))
-    with pytest.raises(ValueError):
-        build_field(BinaryCubicForm(1, 0, 0, -8))
+    with pytest.raises(ReducibleFormError):
+        build_field(BinaryCubicForm(1, 0, 0, -8))  # (x - 2y)(x^2 + 2xy + 4y^2)
 
 
 def test_factor_prime_anchors(K2):

@@ -82,6 +82,10 @@ def test_roots_mod_p_large_primes(p):
     assert roots_mod_p([r1 * n, -n, -r1, 1], p) == [r1]
     # t^3 - c with c a non-cube: no root
     assert roots_mod_p([-c, 0, 0, 1], p) == []
+    # t^3 - r1^3: roots r1, zeta*r1, zeta^2*r1, with zeta a primitive cube root of 1
+    zeta = pow(c, (p - 1) // 3, p)
+    pure = (r1, zeta * r1 % p, zeta * zeta * r1 % p)
+    assert roots_mod_p(_from_roots(pure), p) == sorted(pure)
     # p | a: the quadratic left over has two, one or no roots
     assert roots_mod_p(_from_roots((r1, r2), lead) + [7 * p], p) == sorted((r1, r2))
     assert roots_mod_p(_from_roots((r2, r2)) + [-p], p) == [r2]

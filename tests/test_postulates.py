@@ -1,7 +1,6 @@
 """Tests for the point-to-ideal sequence frame, the exact coset-index
-density, the three density laws, and the report-only measures."""
+density, and the three density laws."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -19,22 +18,17 @@ from chowla import (
     prime_ideals_up_to,
 )
 from chowla.ideal_arith import Ideal, PrimeIdeal, norm
-from chowla.postulates import (
-    A,
-    A_d,
-    ReportRow,
-    bilinear_d,
-    measure_bilinear,
-    measure_crude,
-    measure_square,
-    measure_type1,
-    remainder,
-)
+from chowla.postulates import A, A_d, ReportRow, remainder
 
 
 @pytest.fixture(scope="module")
 def seq_small(K2):
     return build_sequence(K2, parse_region("box:1,3,1,3"))
+
+
+@pytest.fixture(scope="module")
+def seq_medium(K2):
+    return build_sequence(K2, parse_region("box:-12,12,-12,12"))
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +47,7 @@ def test_build_sequence_small_box(K2, seq_small):
         (3, 1), (10, 1), (17, 1), (29, 1), (43, 1), (55, 1), (62, 1),
     ]
     assert seq.n == 62
-    assert seq.D0 == 6 and seq.D1 == 1 and seq.d0_d1_coprime
+    assert seq.D0 == 6 and seq.D1 == 1
     assert seq.quarantine == []
     assert seq.field is K2 and seq.coset is None
 
@@ -204,7 +198,7 @@ def test_postulate_norm_cap(K2, seq_small):
         check_postulates_123(seq_small, DensityModel(K2), 10_001)
 
 
-# ------------------------------------------------------------- measures
+# ------------------------------------------------------------- report rows
 
 
 def test_report_row_csv():
@@ -212,37 +206,3 @@ def test_report_row_csv():
     assert row.csv() == "4,kappa=1.0,0.3333333333,NA"
     assert ReportRow("4", "degenerate frame", None, "NA").csv() == "4,degenerate frame,,NA"
 
-
-@pytest.fixture(scope="module")
-def seq_medium(K2):
-    return build_sequence(K2, parse_region("box:-12,12,-12,12"))
-
-
-def test_measures_report_only(K2, seq_medium):
-    model = DensityModel(K2)
-    rows4 = measure_type1(seq_medium, model, C1=0, kappas=(1.0, 2.0))
-    assert len(rows4) == 2
-    assert all(r.status == "NA" and r.postulate == "4" for r in rows4)
-    assert all(r.ratio is None or r.ratio >= 0 for r in rows4)
-    row5 = measure_square(seq_medium, 10)
-    assert row5.status == "NA" and row5.postulate == "5"
-    rows6 = measure_crude(seq_medium, C1=1, kappas=(1.0,))
-    assert len(rows6) == 1 and rows6[0].status == "NA"
-    row7 = measure_bilinear(seq_medium, lambda a: 1, lambda a: 1, 1, 2, 2)
-    assert row7.status == "NA" and row7.postulate == "7"
-
-
-def test_measure_bilinear_rejects_foreign_modulus(seq_medium):
-    # D0 = 6 and D1 = 1 here, so 7 cannot divide D0*D1
-    with pytest.raises(ValueError, match="divide D0"):
-        measure_bilinear(seq_medium, lambda a: 1, lambda a: 1, 7, 2, 2)
-
-
-def test_bilinear_d_zero_below_window(K2, primes2):
-    # every divisor norm sits at or below ell, so the window is empty
-    a = Ideal.prime(primes2[3])
-    assert bilinear_d(lambda b: 17, 1, 5, a) == 0
-    # above the window the prime divisor contributes with its Mobius sign
-    assert bilinear_d(lambda b: 17, 1, 2, a) == -17
-    # norms sharing a factor with D are excluded
-    assert bilinear_d(lambda b: 17, 3, 2, a) == 0

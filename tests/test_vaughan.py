@@ -1,7 +1,6 @@
-"""Tests for the seven-window divisor identity, its schedule, and the
-flip/pairing lemmas on divisor Mobius sums."""
+"""Tests for the seven-window divisor identity and the flip/pairing lemmas
+on divisor Mobius sums."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -10,15 +9,11 @@ import pytest
 from chowla import (
     BinaryCubicForm,
     VaughanParams,
-    beta,
     beta_all,
     build_field,
     combine,
-    default_params,
     pairing_bound,
     prime_ideals_up_to,
-    schedule_validity,
-    smallest_valid_x,
     sum_star_pairs,
     verify_groupings,
     verify_identity,
@@ -28,8 +23,6 @@ from chowla.ideal_arith import Ideal, divisors, mu_ideal, norm, tau
 
 from helpers import random_ideal
 
-E_E = math.exp(math.e)
-
 
 @pytest.fixture(scope="module")
 def pools(K2, K23):
@@ -37,63 +30,6 @@ def pools(K2, K23):
         (K2, prime_ideals_up_to(K2, 80)),
         (K23, prime_ideals_up_to(K23, 80)),
     ]
-
-
-# ------------------------------------------------------------- schedule
-
-
-def test_default_params_frozen_values():
-    P = default_params(1e6, 1.0)
-    assert float(P.y) == pytest.approx(0.5742360151469154, rel=1e-12)
-    assert float(P.u) == pytest.approx(1319.6379193917578, rel=1e-12)
-    assert float(P.w) == pytest.approx(75.77836202682897, rel=1e-12)
-    assert P.z == pytest.approx(13.196379193917581, rel=1e-12)
-    assert P.x_scale == 1e6 and P.epsilon == 1.0
-    assert not P.hypothesis_ok  # u > w at this scale
-    # structural relations u/y = z^3, y*u*z = x^(2/3), w*z = x^(1/2)
-    assert float(P.u / P.y) == pytest.approx(P.z**3, rel=1e-9)
-    assert float(P.y * P.u) * P.z == pytest.approx(1e4, rel=1e-9)
-    assert float(P.w) * P.z == pytest.approx(1e3, rel=1e-9)
-
-
-def test_default_params_domain_errors():
-    for bad in (1.0, math.e, E_E, 0.0, -5.0):
-        with pytest.raises(ValueError, match="parameter schedule undefined"):
-            default_params(bad, 1.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        default_params(1e6, 0.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        default_params(1e6, -1.0)
-
-
-def test_hypothesis_flag_across_scales():
-    assert not default_params(1e6, 1.0).hypothesis_ok
-    assert not default_params(1e6, 0.1).hypothesis_ok
-    assert not default_params(1e10, 1.0).hypothesis_ok
-    assert default_params(1e25, 1.0).hypothesis_ok
-    assert default_params(3e20, 0.1).hypothesis_ok
-
-
-def test_schedule_validity_is_not_monotone():
-    v = schedule_validity(1.0)
-    assert not v.always_valid
-    # a thin valid sliver sits just above e^e ...
-    assert v.first_valid == pytest.approx(15.154262256633526, rel=1e-9)
-    assert default_params(16.0, 1.0).hypothesis_ok
-    # ... then a long invalid middle stretch ...
-    assert not default_params(1e10, 1.0).hypothesis_ok
-    # ... and validity returns for good only near 1e25
-    assert v.valid_from == pytest.approx(9.558521350025428e24, rel=1e-6)
-    assert smallest_valid_x(1.0) == v.valid_from
-
-
-def test_schedule_validity_smaller_epsilon():
-    v = schedule_validity(0.1)
-    assert not v.always_valid
-    assert v.valid_from == pytest.approx(2.245046322029953e20, rel=1e-6)
-    assert smallest_valid_x(0.1) == v.valid_from
-    # smaller epsilon turns valid much earlier than epsilon = 1
-    assert v.valid_from < smallest_valid_x(1.0)
 
 
 # ------------------------------------------------------------- star pairs
@@ -147,16 +83,6 @@ def test_unit_ideal_window_values():
     assert beta_all(u, lambda a: 3, P_low) == [6, 0, 0, 0, 0, 0, 3]
     assert combine(beta_all(u, lambda a: 3, P)) == 3
     assert combine(beta_all(u, lambda a: 3, P_low)) == 3
-
-
-def test_beta_index_range():
-    u = Ideal.unit()
-    P = VaughanParams.make(1, 2, 3)
-    with pytest.raises(ValueError, match="term index"):
-        beta(0, u, lambda a: 1, P)
-    with pytest.raises(ValueError, match="term index"):
-        beta(8, u, lambda a: 1, P)
-    assert beta(1, u, lambda a: 1, P) == 2
 
 
 def _random_cuts(rng):
