@@ -85,7 +85,6 @@ from .vaughan import (
     beta_all,
     combine,
     pairing_bound,
-    sum_star_pairs,
     verify_identity,
     verify_groupings,
     window_flip,

@@ -213,12 +213,11 @@ def remainder(seq: SequenceAF, model: DensityModel, d: Ideal) -> Fraction:
 class ReportRow:
     postulate: str
     params: str
-    ratio: object  # Fraction, float, or None
-    status: str  # "pass" | "fail" | "NA"
+    ratio: Fraction
+    status: str  # "pass" | "fail"
 
     def csv(self) -> str:
-        r = "" if self.ratio is None else (f"{float(self.ratio):.10g}")
-        return f"{self.postulate},{self.params},{r},{self.status}"
+        return f"{self.postulate},{self.params},{float(self.ratio):.10g},{self.status}"
 
 
 @dataclass

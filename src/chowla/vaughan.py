@@ -3,7 +3,8 @@
 For an arbitrary function h on ideals and cut points y <= u <= w, the value
 h(a) splits into seven window sums over pairs (b, c) with b*c | a and the
 Q-part of b equal to the Q-part of a.  The split is exact and boundary
-sensitive, so all norm-versus-cut comparisons are integer-versus-rational.
+sensitive, so every norm-versus-cut comparison is exact: norms are integers
+and the cuts are exact rationals.
 
 Also here: the divisor-window flip (complement map on squarefree divisors)
 and the pairing bound on partial Mobius sums over divisors, both verified by
@@ -11,19 +12,21 @@ full enumeration.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .ideal_arith import (
+    _DIVISOR_CAP,
     Ideal,
     PrimeIdeal,
     divisors,
     mu_ideal,
     norm,
     rad,
-    split_S,
     tau,
 )
 
@@ -42,64 +45,88 @@ class VaughanParams:
         return VaughanParams(Fraction(y), Fraction(u), Fraction(w), frozenset(Q))
 
 
-# ------------------------------------------------------------------ pairs
-
-
-def sum_star_pairs(
-    a: Ideal, Q: Iterable[PrimeIdeal], cap: int = 1 << 16
-) -> Iterator[tuple[Ideal, Ideal]]:
-    """All pairs (b, c) with b*c | a and the Q-part of b equal to that of a.
-
-    The Q-part of b must exhaust a's, which forces c to avoid Q entirely; so
-    b = (Q-part of a) * b' with b'*c dividing the non-Q part.
-    """
-    if tau(a) > cap:
-        raise ValueError(f"divisor count {tau(a)} exceeds the cap {cap}")
-    q_part, m = split_S(a, Q)
-    for d in divisors(m, cap):
-        for b_prime in divisors(d, cap):
-            yield q_part * b_prime, d.divide(b_prime)
-
-
 # ------------------------------------------------------------------ betas
 
 
+def _windows(a: Ideal, h: Callable[[Ideal], object], P: VaughanParams) -> tuple:
+    """(the seven window sums, high grouping, low grouping) in one walk.
+
+    The star pairs are the (b, c) with b*c | a and the Q-part of b equal to
+    a's; that forces c to avoid Q, so b = (Q-part of a) * b' with b'*c
+    dividing the non-Q part.  Only pairs with mu(c) != 0 add anything, so
+    the walk takes d = b'*c over the non-Q exponents of a in
+    ``itertools.product`` order and, per exponent d_t, only b'_t in
+    (d_t - 1, d_t), which leaves c_t in {1, 0}: the squarefree-c pairs in
+    the order a walk over all divisors of d would reach them.  Every b' <= d
+    comes no later than d in product order, so each b is first reached at
+    d = b' (c = 1): calling h once per d, on b = (Q-part of a) * d, calls it
+    on each b in the order that full walk first reaches it.
+
+    Norms are ints, so n <= q iff n <= floor(q) and n > q iff n > floor(q).
+    The nine membership tests below are independent on purpose: nesting
+    them would make the groupings agree with the windows by construction.
+    """
+    if tau(a) > _DIVISOR_CAP:
+        raise ValueError(f"divisor count {tau(a)} exceeds the cap {_DIVISOR_CAP}")
+    y, u, w = math.floor(P.y), math.floor(P.u), math.floor(P.w)
+    factors = a.factors
+    in_q = [q in P.Q for q, _ in factors]
+    nb_q = 1
+    free = []  # (norm, exponent) of the non-Q primes of a, in a's order
+    for (q, e), fixed in zip(factors, in_q):
+        if fixed:
+            nb_q *= q.norm**e
+        else:
+            free.append((q.norm, e))
+
+    betas = [0] * 7
+    high = 0
+    low = 0
+    if norm(a) <= u:
+        betas[0] += h(a)
+    h_of: dict[tuple, object] = {}  # b' exponents -> h(b)
+    for d in itertools.product(*(range(e + 1) for _, e in free)):
+        exps = iter(d)
+        h_of[d] = h(Ideal(tuple(
+            (q, x) for (q, e), fixed in zip(factors, in_q) if (x := e if fixed else next(exps))
+        )))
+        for bp in itertools.product(*((t - 1, t) if t else (0,) for t in d)):
+            nb, nc, mc = nb_q, 1, 1
+            for (n, _), dt, bt in zip(free, d, bp):
+                nb *= n**bt
+                if bt != dt:
+                    nc *= n
+                    mc = -mc
+            v = h_of[bp] * mc
+            if nc <= u:
+                betas[0] += v
+            if u < nb <= w and nc > u:
+                betas[1] += v
+            if nb > w and u < nc <= w:
+                betas[2] += v
+            if nb > w and nc > w:
+                betas[3] += v
+            if nb <= u and nc <= y:
+                betas[4] += v
+            if nb <= y and y < nc <= u:
+                betas[5] += v
+            if y < nb <= u and y < nc <= u:
+                betas[6] += v
+            if nb > u and nc > u:
+                high += v
+            if nb <= u and nc <= u:
+                low += v
+    return betas, high, low
+
+
 def beta_all(a: Ideal, h: Callable[[Ideal], object], P: VaughanParams) -> list:
-    """The seven window sums, evaluated in one pass over the star pairs.
+    """The seven window sums over the star pairs (b, c), mu(c) weighted.
 
     Windows on norms: (1) no cut on b, c <= u, plus the standalone h(a <= u);
     (2) u < b <= w, c > u; (3) b > w, u < c <= w; (4) b > w, c > w;
     (5) b <= u, c <= y; (6) b <= y, y < c <= u; (7) y < b <= u, y < c <= u.
     """
-    y, u, w = P.y, P.u, P.w
-    na = norm(a)
-    betas = [0] * 8  # 1-indexed
-    if na <= u:
-        betas[1] += h(a)
-    for b, c in sum_star_pairs(a, P.Q):
-        nb, nc = norm(b), norm(c)
-        hb = None  # computed lazily; h may be expensive
-        mc = mu_ideal(c)
-        if mc and nc <= u:
-            hb = h(b)
-            betas[1] += hb * mc
-        if mc == 0:
-            continue
-        if hb is None:
-            hb = h(b)
-        if u < nb <= w and nc > u:
-            betas[2] += hb * mc
-        if nb > w and u < nc <= w:
-            betas[3] += hb * mc
-        if nb > w and nc > w:
-            betas[4] += hb * mc
-        if nb <= u and nc <= y:
-            betas[5] += hb * mc
-        if nb <= y and y < nc <= u:
-            betas[6] += hb * mc
-        if y < nb <= u and y < nc <= u:
-            betas[7] += hb * mc
-    return betas[1:]
+    return _windows(a, h, P)[0]
 
 
 def combine(betas: list) -> object:
@@ -120,19 +147,7 @@ def verify_identity(a: Ideal, h: Callable[[Ideal], object], P: VaughanParams) ->
 def verify_groupings(a: Ideal, h: Callable[[Ideal], object], P: VaughanParams) -> bool:
     """The two coarser splits the seven windows refine, checked exactly:
     terms 2+3+4 sum h(b > u) mu(c > u); terms 5+6+7 sum h(b <= u) mu(c <= u)."""
-    y, u, w = P.y, P.u, P.w
-    betas = beta_all(a, h, P)
-    high = 0
-    low = 0
-    for b, c in sum_star_pairs(a, P.Q):
-        mc = mu_ideal(c)
-        if not mc:
-            continue
-        nb, nc = norm(b), norm(c)
-        if nb > u and nc > u:
-            high += h(b) * mc
-        if nb <= u and nc <= u:
-            low += h(b) * mc
+    betas, high, low = _windows(a, h, P)
     return betas[1] + betas[2] + betas[3] == high and betas[4] + betas[5] + betas[6] == low
 
 

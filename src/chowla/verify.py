@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cubic_form import BinaryCubicForm
+from .cubic_form import BinaryCubicForm, parse_form
 from .factor_sieve import mu as mu_int, liouville, omega_sign, parity_grid
 from .ideal_arith import (
     CubicField,
@@ -170,8 +170,7 @@ def suite_postulates(out_dir: Optional[str]) -> list[CheckResult]:
     region = parse_region("box:-1,1,-1,1").scale(30)
     results = []
     for k, (form_spec, coset_spec) in enumerate(_POSTULATE_CONFIGS, start=1):
-        a, b, c, d = (int(t) for t in form_spec.split(","))
-        K = build_field(BinaryCubicForm(a, b, c, d))
+        K = build_field(parse_form(form_spec))
         L = parse_coset(coset_spec) if coset_spec else None
         seq = build_sequence(K, region, L)
         model = DensityModel(K, L)

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from chowla.ideal_arith import Ideal, PrimeIdeal
+from chowla.ideal_arith import Ideal, PrimeIdeal, divisors, mu_ideal, norm, split_S, tau
 
 
 # ------------------------------------------------------------- int oracles
@@ -194,3 +194,71 @@ def random_ideal(
         a = Ideal.from_factors((q, rng.randint(1, max_exp)) for q in chosen)
         if not (nonunit and a.is_unit):
             return a
+
+
+# ------------------------------------------------------------- window oracles
+
+
+def sum_star_pairs(a: Ideal, Q, cap: int = 1 << 16):
+    """All pairs (b, c) with b*c | a and the Q-part of b equal to that of a,
+    as ideals, mu(c) = 0 included.
+
+    The Q-part of b must exhaust a's, which forces c to avoid Q entirely; so
+    b = (Q-part of a) * b' with b'*c dividing the non-Q part.
+    """
+    if tau(a) > cap:
+        raise ValueError(f"divisor count {tau(a)} exceeds the cap {cap}")
+    q_part, m = split_S(a, Q)
+    for d in divisors(m, cap):
+        for b_prime in divisors(d, cap):
+            yield q_part * b_prime, d.divide(b_prime)
+
+
+def beta_all_oracle(a: Ideal, h, P) -> list:
+    """The seven window sums, tallied pair by pair over ``sum_star_pairs``
+    with ideal norms compared against the Fraction cuts."""
+    y, u, w = P.y, P.u, P.w
+    betas = [0] * 8  # 1-indexed
+    if norm(a) <= u:
+        betas[1] += h(a)
+    for b, c in sum_star_pairs(a, P.Q):
+        nb, nc = norm(b), norm(c)
+        hb = None  # computed lazily; h may be expensive
+        mc = mu_ideal(c)
+        if mc and nc <= u:
+            hb = h(b)
+            betas[1] += hb * mc
+        if mc == 0:
+            continue
+        if hb is None:
+            hb = h(b)
+        if u < nb <= w and nc > u:
+            betas[2] += hb * mc
+        if nb > w and u < nc <= w:
+            betas[3] += hb * mc
+        if nb > w and nc > w:
+            betas[4] += hb * mc
+        if nb <= u and nc <= y:
+            betas[5] += hb * mc
+        if nb <= y and y < nc <= u:
+            betas[6] += hb * mc
+        if y < nb <= u and y < nc <= u:
+            betas[7] += hb * mc
+    return betas[1:]
+
+
+def groupings_oracle(a: Ideal, h, P) -> tuple:
+    """(sum of h(b) mu(c) over b > u, c > u; the same over b <= u, c <= u)."""
+    u = P.u
+    high = 0
+    low = 0
+    for b, c in sum_star_pairs(a, P.Q):
+        mc = mu_ideal(c)
+        if not mc:
+            continue
+        nb, nc = norm(b), norm(c)
+        if nb > u and nc > u:
+            high += h(b) * mc
+        if nb <= u and nc <= u:
+            low += h(b) * mc
+    return high, low

@@ -2,13 +2,11 @@
 line under ``pytest -v``) each.  Every test pins an explicit wall-clock
 budget and asserts it; timings print with ``-s``."""
 
-import math
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from chowla import (
     BinaryCubicForm,

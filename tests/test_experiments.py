@@ -2,14 +2,12 @@
 channel aliases, and byte-determinism of the CSV output."""
 
 import math
-import random
 
 import pytest
 
 from chowla import (
     CSV_HEADER,
     BinaryCubicForm,
-    ConvergenceRow,
     ExperimentConfig,
     canonical_alpha,
     chowla_average,
@@ -17,7 +15,6 @@ from chowla import (
     envelope,
     parse_coset,
     parse_region,
-    write_table,
 )
 
 from helpers import grid_mu_sums

@@ -180,6 +180,41 @@ def test_grid_guards_exact_edges():
         parity_grid(F2, ConvexRegion.box(0, 9999, 0, 23000))
 
 
+class _Sieved(Exception):
+    """Raised in place of the root table: the caps were passed."""
+
+
+def _no_sieve(monkeypatch):
+    def refuse(f, primes):
+        raise _Sieved
+
+    monkeypatch.setattr(factor_sieve, "_root_table", refuse)
+
+
+def test_factor_table_cap_exact_edge(monkeypatch):
+    """sieve_grid admits 2100 * 2000 = 4.2M cells; one more row is past the cap."""
+    _no_sieve(monkeypatch)
+    with pytest.raises(_Sieved):
+        sieve_grid(F2, ConvexRegion.box(0, 2099, 0, 1999))
+    with pytest.raises(ExactRangeError, match="factor table"):
+        sieve_grid(F2, ConvexRegion.box(0, 2099, 0, 2000))
+
+
+def test_kept_array_cap_exact_edge(monkeypatch):
+    """keep_arrays admits 6000 * 5600 = 33.6M cells; one more row is past the cap."""
+    _no_sieve(monkeypatch)
+    with pytest.raises(_Sieved):
+        parity_grid(F2, ConvexRegion.box(0, 5999, 0, 5599), keep_arrays=True)
+    with pytest.raises(ExactRangeError, match="per-point arrays"):
+        parity_grid(F2, ConvexRegion.box(0, 5999, 0, 5600), keep_arrays=True)
+
+
+def test_keep_arrays_on_empty_region(monkeypatch):
+    _no_sieve(monkeypatch)
+    grid = parity_grid(F2, ConvexRegion.box(Fraction(1, 4), Fraction(3, 4), 0, 5), keep_arrays=True)
+    assert (grid.points, grid.mu_sum, grid.lam_sum, grid.omg_sum) == (0, 0, 0, 0)
+
+
 def test_sum_channels():
     region = ConvexRegion.box(-9, 9, -9, 9)
     grid = parity_grid(F2, region)

@@ -201,8 +201,10 @@ def test_postulate_norm_cap(K2, seq_small):
 # ------------------------------------------------------------- report rows
 
 
-def test_report_row_csv():
-    row = ReportRow("4", "kappa=1.0", Fraction(1, 3), "NA")
-    assert row.csv() == "4,kappa=1.0,0.3333333333,NA"
-    assert ReportRow("4", "degenerate frame", None, "NA").csv() == "4,degenerate frame,,NA"
+def test_report_row_csv(K2, seq_small):
+    report = check_postulates_123(seq_small, DensityModel(K2), 80)
+    row = next(r for r in report.rows if r.params == "law1[P(71;f1e1;t22)^1]")
+    assert row.ratio == Fraction(1, 72)  # (1/71) / (1 + 1/71)
+    assert row.csv() == "1,law1[P(71;f1e1;t22)^1],0.01388888889,pass"
+    assert ReportRow(row.postulate, row.params, row.ratio, "fail").csv().endswith(",0.01388888889,fail")
 

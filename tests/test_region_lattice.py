@@ -10,7 +10,6 @@ from chowla.factor_sieve import parity_grid
 from chowla.region_lattice import (
     ConvexRegion,
     LatticeCoset,
-    RowForm,
     parse_coset,
     parse_region,
 )

@@ -8,10 +8,8 @@ from fractions import Fraction
 import pytest
 
 from chowla import (
-    BinaryCubicForm,
     anti_sieve_split,
     brun_pure_weights,
-    build_field,
     buchstab_split,
     default_depth,
     integer_brun_weights,

@@ -1,27 +1,26 @@
 """Tests for the seven-window divisor identity and the flip/pairing lemmas
 on divisor Mobius sums."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from chowla import (
-    BinaryCubicForm,
     VaughanParams,
     beta_all,
-    build_field,
     combine,
     pairing_bound,
     prime_ideals_up_to,
-    sum_star_pairs,
     verify_groupings,
     verify_identity,
     window_flip,
 )
 from chowla.ideal_arith import Ideal, divisors, mu_ideal, norm, tau
+from chowla.vaughan import _windows
 
-from helpers import random_ideal
+from helpers import beta_all_oracle, groupings_oracle, random_ideal, sum_star_pairs
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +62,82 @@ def test_sum_star_pairs_matches_brute(pools):
         assert set(got) == _brute_star_pairs(a, Q)
 
 
-def test_sum_star_pairs_divisor_cap(pools):
+def test_beta_all_divisor_cap(pools):
     _, primes = pools[0]
-    a = Ideal.from_factors([(q, 1) for q in primes[:3]])  # tau = 8
-    assert tau(a) == 8
+    a = Ideal.from_factors([(q, 1) for q in primes[:17]])
+    assert tau(a) == 1 << 17
+    calls = []
     with pytest.raises(ValueError, match="exceeds the cap"):
-        next(sum_star_pairs(a, (), cap=4))
+        beta_all(a, calls.append, VaughanParams.make(2, 10, 50))
+    assert calls == []  # the cap is checked before h is called
+
+
+# ------------------------------------------------------------- one walk
+
+
+def _recording_h():
+    """h with per-ideal values independent of call order; ``order`` lists
+    the distinct ideals in the order h first saw them."""
+    memo, order = {}, []
+
+    def h(b):
+        if b not in memo:
+            memo[b] = random.Random(repr(b)).randint(-5, 5)
+            order.append(b)
+        return memo[b]
+
+    return h, order
+
+
+def _assert_walk_matches_oracle(a, P):
+    h_new, seen_new = _recording_h()
+    h_old, seen_old = _recording_h()
+    betas, high, low = _windows(a, h_new, P)
+    assert betas == beta_all_oracle(a, h_old, P), (a, P)
+    assert seen_new == seen_old, (a, P)
+    assert (high, low) == groupings_oracle(a, h_old, P), (a, P)
+    assert beta_all(a, h_new, P) == betas
+    assert verify_groupings(a, h_new, P), (a, P)
+
+
+def _occurring_cuts(rng, a, Q):
+    """Integer cuts y <= u <= w with u = N(b) and y = N(c) for star pairs."""
+    pairs = [(norm(b), norm(c)) for b, c in sum_star_pairs(a, Q) if mu_ideal(c)]
+    u = rng.choice([nb for nb, _ in pairs])
+    y = rng.choice([nc for _, nc in pairs if nc <= u])
+    w = rng.choice([n for n in itertools.chain(*pairs) if n >= u])
+    return y, u, w
+
+
+def test_windows_match_oracle(pools):
+    rng = random.Random(606)
+    for trial in range(160):
+        _, primes = pools[trial % 2]
+        a = random_ideal(rng, primes, max_primes=4, max_exp=3)
+        qs = [q for q, _ in a.factors]
+        Q = [] if trial % 4 == 0 else rng.sample(qs, k=min(len(qs), rng.randint(0, 2)))
+        if trial % 4 == 3:  # a prime a avoids adds nothing to the Q-part
+            Q.append(rng.choice([q for q in primes if q not in qs]))
+        if trial % 2:
+            cuts = _occurring_cuts(rng, a, Q)
+        else:
+            cuts = sorted(Fraction(rng.randint(1, 900), rng.randint(2, 7)) for _ in range(3))
+        _assert_walk_matches_oracle(a, VaughanParams.make(*cuts, Q))
+
+
+def test_windows_match_oracle_edge_cases(pools):
+    _, primes = pools[0]
+    unit_cuts = ((2, 10, 50), (Fraction(1, 2), 1, 1), (1, 1, 1), (Fraction(1, 3), Fraction(2, 3), 1))
+    for cuts, Q in itertools.product(unit_cuts, ((), primes[:1])):
+        _assert_walk_matches_oracle(Ideal.unit(), VaughanParams.make(*cuts, Q))
+    # tau = 4^6 = 4096, half of it fixed by Q
+    a = Ideal.from_factors((q, 3) for q in primes[:6])
+    assert tau(a) == 4096
+    rng = random.Random(707)
+    wide_cuts = (Fraction(7, 2), Fraction(10**5, 3), 10**9 + Fraction(1, 2))
+    for Q in (primes[:3], primes[3:6:2] + primes[-1:]):
+        _assert_walk_matches_oracle(a, VaughanParams.make(*_occurring_cuts(rng, a, Q), Q))
+        _assert_walk_matches_oracle(a, VaughanParams.make(*wide_cuts, Q))
 
 
 # ------------------------------------------------------------- identity
