@@ -14,6 +14,10 @@ Striking works line by line: for p not dividing y, the zero locus of f mod p
 is a union of lines x = r*y with f(r, 1) = 0 mod p; rows p | y are covered
 wholesale when p divides the leading coefficient and through the (p|x, p|y)
 sublattice otherwise.  The three strike families are disjoint by construction.
+Primes below the grid width strike their lines row by row.  A prime at or
+past the width meets each row at most once, so its lines are walked instead:
+every lattice {x = r*y mod p} goes from hit to hit along a reduced basis, all
+(p, r) pairs of a band in step.
 """
 from __future__ import annotations
 
@@ -96,20 +100,23 @@ def parity_range(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------- striking
 
 
-def _divide_out(cof: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
+def _divide_out(cof: np.ndarray, idx: np.ndarray, p) -> np.ndarray:
     """Divide p out of cof[idx] completely; p must divide every cof[idx].
 
+    p is one prime, or one prime per index.  An index may repeat for
+    distinct primes: ``ufunc.at`` divides such a cell once per entry.
     Returns the exponent of p at each index (uint8: cofactors are < 2^62).
     """
-    cof[idx] //= p
+    np.floor_divide.at(cof, idx, p)
     exps = np.ones(idx.size, dtype=np.uint8)
     deeper = np.nonzero(cof[idx] % p == 0)[0]
     while deeper.size:
         exps[deeper] += 1
+        q = p if np.ndim(p) == 0 else p[deeper]
         # idx[deeper] is gathered twice rather than held: holding it raised
         # the peak memory of the p = 2 strike
-        cof[idx[deeper]] //= p
-        deeper = deeper[cof[idx[deeper]] % p == 0]
+        np.floor_divide.at(cof, idx[deeper], q)
+        deeper = deeper[cof[idx[deeper]] % q == 0]
     return exps
 
 
@@ -121,9 +128,11 @@ class _ParityCounts:
         self.big_omega = np.zeros(size, dtype=np.uint8)
         self.squarefree = np.ones(size, dtype=bool)
 
-    def add(self, idx: np.ndarray, p: int, exps: np.ndarray) -> None:
-        self.small_omega[idx] += 1
-        self.big_omega[idx] += exps
+    def add(self, idx: np.ndarray, p, exps: np.ndarray) -> None:
+        # ufunc.at counts a repeated cell once per entry; uint8 operands
+        # keep it on numpy's fast path
+        np.add.at(self.small_omega, idx, np.uint8(1))
+        np.add.at(self.big_omega, idx, exps)
         self.squarefree[idx[exps > 1]] = False
 
     def channels(self, cof: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,23 +243,200 @@ def _value_bound(spec: GridSpec) -> int:
     return 4 * spec.form.height() * max(spec.half_width, 1) ** 3
 
 
-def _root_table(f: BinaryCubicForm, primes: np.ndarray):
-    """Per prime: sorted roots of f(t, 1) mod p, and whether p | leading coeff."""
-    a = f.a
+def _root_table(f: BinaryCubicForm, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One (p, r) row per root r of f(t, 1) mod p: int64 arrays in prime order."""
     poly = f.dehomogenized()
-    table = []
-    for p in primes:
-        p = int(p)
+    pair_p: list[int] = []
+    pair_r: list[int] = []
+    for p in primes.tolist():
         roots = roots_mod_p(poly, p)
-        table.append((p, roots, a % p == 0))
-    return table
+        pair_p += [p] * len(roots)
+        pair_r += roots
+    return np.array(pair_p, dtype=np.int64), np.array(pair_r, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _Lattices:
+    """The lattices {x = r*y (mod p)} of pairs (p, r) with p >= width.
+
+    Each is given by a basis u = (alpha, beta), v = (gamma, delta) with
+    -width < alpha <= 0 <= gamma, gamma - alpha >= width and beta > 0, as
+    in Franke and Kleinjung ("Continued fractions and lattice sieving",
+    2005).  In a strip of width columns the next lattice point after column
+    i is then reached by u + v when width - gamma <= i < -alpha, else by u
+    alone (i >= -alpha) or by v alone (i < width - gamma).  A vertical
+    basis, alpha = 0 with gamma = width, always steps by u.
+    """
+
+    p: np.ndarray
+    r: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+
+
+def _reduced_lattices(p: np.ndarray, r: np.ndarray, width: int) -> _Lattices:
+    """Reduce the basis (-p, 0), (r, 1) of every pair by continued fractions.
+
+    While both |alpha| and gamma reach the width, each is taken fully modulo
+    the other in turn.  Once one is below the width, the other is cut just
+    below it, which leaves gamma - alpha >= width.  O(log p) rounds, every
+    round over all pairs still running.
+    """
+    n = p.size
+    alpha = np.zeros(n, dtype=np.int64)
+    beta = np.ones(n, dtype=np.int64)
+    gamma = np.full(n, width, dtype=np.int64)
+    delta = np.ones(n, dtype=np.int64)
+    if width == 1:
+        # one column: the lattice meets it every p rows (every row if r = 0)
+        beta[r != 0] = p[r != 0]
+        return _Lattices(p, r, alpha, beta, gamma, delta)
+    # r = 0 keeps the vertical basis u = (0, 1)
+    ids = np.nonzero(r)[0]
+    a0, b0 = -p[ids], np.zeros(ids.size, dtype=np.int64)
+    a1, b1 = r[ids], np.ones(ids.size, dtype=np.int64)
+
+    def settle(done, a0, b0, a1, b1):
+        at = ids[done]
+        alpha[at], beta[at], gamma[at], delta[at] = a0, b0, a1, b1
+
+    while ids.size:
+        done = a1 < width
+        k = (-width - a0[done]) // a1[done] + 1
+        settle(done, a0[done] + k * a1[done], b0[done] + k * b1[done], a1[done], b1[done])
+        go = ~done
+        ids, a0, b0, a1, b1 = ids[go], a0[go], b0[go], a1[go], b1[go]
+        k = -a0 // a1
+        a0 += k * a1
+        b0 += k * b1
+        done = a0 > -width
+        k = (a1[done] - width) // -a0[done] + 1
+        settle(done, a0[done], b0[done], a1[done] + k * a0[done], b1[done] + k * b0[done])
+        go = ~done
+        ids, a0, b0, a1, b1 = ids[go], a0[go], b0[go], a1[go], b1[go]
+        k = a1 // -a0
+        a1 += k * a0
+        b1 += k * b0
+    return _Lattices(p, r, alpha, beta, gamma, delta)
+
+
+def _first_hits(a: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Least t >= 0 with lo <= a*t mod m <= hi, for 0 < lo <= hi < m, gcd(a, m) = 1.
+
+    Either t = ceil(lo / a) already works, or [lo, hi] holds no multiple of
+    a, and t = ceil((lo + m*s) / a) for the least s >= 0 with
+    a - hi % a <= (m % a)*s mod a <= a - lo % a: Euclid's recursion, run
+    down for all entries at once and then unwound.
+    """
+    t = np.empty(a.size, dtype=np.int64)
+    ids = np.arange(a.size)
+    levels = []
+    while ids.size:
+        x = -(-lo // a)
+        done = a * x <= hi
+        t[ids[done]] = x[done]
+        go = ~done
+        ids, a, m, lo, hi = ids[go], a[go], m[go], lo[go], hi[go]
+        levels.append((ids, a, m, lo))
+        a, m, lo, hi = m % a, a, a - hi % a, a - lo % a
+    for ids, a, m, lo in reversed(levels):
+        t[ids] = -(-(lo + m * t[ids]) // a)
+    return t
+
+
+def _lattice_hits(lat: _Lattices, xmin: int, width: int, y0: int, y1: int):
+    """Walk every lattice through the columns xmin .. xmin + width - 1 and the
+    rows y0 .. y1, all pairs in step.
+
+    Yields, step by step, the flat indices (y - y0) * width + (x - xmin) of
+    the points x = r*y (mod p) with p not dividing y, and the prime of each.
+    A pair meets a row at most once, so a step repeats a cell only across
+    distinct primes.
+    """
+    p, r = lat.p, lat.r
+    # the pair's lattice point in row y0 lies c columns into the strip
+    c = (r * y0 - xmin) % p
+    t = np.zeros(p.size, dtype=np.int64)
+    late = c >= width
+    t[late & (r == 0)] = y1 - y0 + 1  # a vertical lattice misses the strip
+    far = np.nonzero(late & (r != 0))[0]
+    t[far] = _first_hits(r[far], p[far], p[far] - c[far], p[far] - c[far] + width - 1)
+    on = np.nonzero(t <= y1 - y0)[0]
+    p, t = p[on], t[on]
+    i = (c[on] + r[on] * t) % p
+    y = y0 + t
+    alpha, beta, gamma, delta = lat.alpha[on], lat.beta[on], lat.gamma[on], lat.delta[on]
+    by_u, by_v = width - gamma, -alpha
+    while p.size:
+        off = y % p != 0  # rows p | y belong to the other two families
+        yield ((y - y0) * width + i)[off], p[off]
+        u = i >= by_u
+        v = i < by_v
+        i += alpha * u + gamma * v
+        y += beta * u + delta * v
+        live = y <= y1
+        if not live.all():
+            p, i, y = p[live], i[live], y[live]
+            alpha, beta, gamma, delta = alpha[live], beta[live], gamma[live], delta[live]
+            by_u, by_v = by_u[live], by_v[live]
+
+
+def _divisor_rows(spec: GridSpec, primes: np.ndarray, lead: np.ndarray, y0: int, y1: int):
+    """Flat band indices, and the prime of each, of the cells in rows p | y for
+    primes p >= width: the whole row when p | a, else the one column p | x
+    if the strip holds it."""
+    width = spec.width
+    first_col = -(-spec.xmin // primes) * primes
+    keep = lead | (first_col <= spec.xmax)
+    first = -(-y0 // primes)
+    count = np.where(keep, np.maximum(y1 // primes - first + 1, 0), 0)
+    which = np.repeat(np.arange(primes.size), count)
+    step = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count)
+    q = primes[which]
+    rows = (first[which] + step) * q - y0
+    whole = lead[which]
+    cols = np.arange(width, dtype=np.int64)
+    idx = np.concatenate([
+        (rows[whole][:, None] * width + cols[None, :]).ravel(),
+        rows[~whole] * width + (first_col[which][~whole] - spec.xmin),
+    ])
+    return idx, np.concatenate([np.repeat(q[whole], width), q[~whole]])
+
+
+@dataclass(frozen=True)
+class _StrikeTable:
+    """The sieving primes of one grid, split at the grid width.
+
+    small: (p, roots, p | a) per prime p < width, struck row by row;
+    primes, lead: the primes p >= width and whether p | a;
+    lattices: their (p, r) pairs, walked.
+    """
+
+    small: list
+    primes: np.ndarray
+    lead: np.ndarray
+    lattices: _Lattices
+
+
+def _strike_table(spec: GridSpec, primes: np.ndarray) -> _StrikeTable:
+    pair_p, pair_r = _root_table(spec.form, primes)
+    width = spec.width
+    a = spec.form.a
+    small = []
+    for p in primes[primes < width].tolist():
+        lo, hi = np.searchsorted(pair_p, [p, p + 1])
+        small.append((p, pair_r[lo:hi].tolist(), a % p == 0))
+    large = primes[primes >= width].astype(np.int64)
+    cut = np.searchsorted(pair_p, width)
+    return _StrikeTable(
+        small, large, a % large == 0, _reduced_lattices(pair_p[cut:], pair_r[cut:], width)
+    )
 
 
 def _line_hits(offs: np.ndarray, row_base: np.ndarray, width: int, p: int) -> np.ndarray:
     """Flat indices of x = offs[i] (mod p) within each selected row."""
-    if p >= width:
-        sel = offs < width
-        return row_base[sel] + offs[sel]
     counts = (width - offs + p - 1) // p
     kmax = int(counts.max()) if counts.size else 0
     lattice = offs[:, None] + p * np.arange(kmax, dtype=np.int64)[None, :]
@@ -258,25 +444,25 @@ def _line_hits(offs: np.ndarray, row_base: np.ndarray, width: int, p: int) -> np
 
 
 def _strike_sets(spec: GridSpec, entry, ys: np.ndarray, row_base: np.ndarray):
-    """Disjoint flat-index families covering p | f(x, y) in this band."""
+    """Disjoint flat-index families covering p | f(x, y) in this band, for
+    one prime p below the width; yielded one at a time, so that no two are
+    held at once."""
     p, roots, p_div_lead = entry
     width = spec.width
     off_rows = ys % p != 0  # rows with p not dividing y
-    sets = []
     if roots:
         rb = row_base[off_rows]
         yr = ys[off_rows]
         for r in roots:
             offs = (r * yr - spec.xmin) % p
-            sets.append(_line_hits(offs, rb, width, p))
+            yield _line_hits(offs, rb, width, p)
     div_rows = row_base[~off_rows]
     if div_rows.size:
         if p_div_lead:
-            sets.append((div_rows[:, None] + np.arange(width, dtype=np.int64)[None, :]).ravel())
+            yield (div_rows[:, None] + np.arange(width, dtype=np.int64)[None, :]).ravel()
         else:
             offs = np.full(div_rows.size, (-spec.xmin) % p, dtype=np.int64)
-            sets.append(_line_hits(offs, div_rows, width, p))
-    return sets
+            yield _line_hits(offs, div_rows, width, p)
 
 
 def _band_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
@@ -335,23 +521,33 @@ def _band_values(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
     return V
 
 
-def _strike_band(spec: GridSpec, table, ys: np.ndarray, cof: np.ndarray, visit) -> None:
+def _strike_band(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, cof: np.ndarray, visit) -> None:
     """Divide every table prime out of the band's cofactors.
 
     Calls visit(idx, p, exps) for each strike set, cut to the flat indices
-    p really divides, with the exponent of p at each.  A callback rather than
-    a generator, so no strike set outlives its own visit.
+    p really divides, with the exponent of p at each.  p is one prime, or
+    one prime per index where the primes past the width strike together.
+    A callback rather than a generator, so no strike set outlives its own
+    visit.
     """
     row_base = np.arange(ys.size, dtype=np.int64) * spec.width
-    for entry in table:
+    for entry in table.small:
         p = entry[0]
         for idx in _strike_sets(spec, entry, ys, row_base):
             idx = idx[cof[idx] % p == 0]
             if idx.size:
                 visit(idx, p, _divide_out(cof, idx, p))
+    y0, y1 = int(ys[0]), int(ys[-1])
+    idx, q = _divisor_rows(spec, table.primes, table.lead, y0, y1)
+    on = cof[idx] % q == 0  # drops the origin, whose value is 0
+    if on.any():
+        visit(idx[on], q[on], _divide_out(cof, idx[on], q[on]))
+    for idx, q in _lattice_hits(table.lattices, spec.xmin, spec.width, y0, y1):
+        if idx.size:
+            visit(idx, q, _divide_out(cof, idx, q))
 
 
-def _sieve_band_parity(spec: GridSpec, table, ys: np.ndarray):
+def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, ys: np.ndarray):
     """Return (points, mu_sum, lam_sum, omg_sum, mu/lam/omg int8 arrays)."""
     V = _band_values(spec, ys)
     sign_zero = V.ravel() == 0
@@ -433,7 +629,7 @@ def parity_grid(
     if keep_arrays and spec.cells > _TABLE_CELL_CAP * 8:
         raise ExactRangeError("grid too large to retain per-point arrays")
     bound = _value_bound(spec)
-    table = _root_table(f, primes_up_to(math.isqrt(bound)))
+    table = _strike_table(spec, primes_up_to(math.isqrt(bound)))
     bands = _bands(spec)
 
     def work(ys):
@@ -478,21 +674,21 @@ def sieve_grid(
         raise ExactRangeError(f"factor table of {spec.cells} cells is past the supported size")
     bound = _value_bound(spec)
     Z = _icbrt_up(bound)
-    table = _root_table(f, primes_up_to(Z))
+    table = _strike_table(spec, primes_up_to(Z))
     ys = np.arange(spec.ymin, spec.ymax + 1, dtype=np.int64)
     width = spec.width
     V = _band_values(spec, ys).ravel()
     cof = np.abs(V)
     zero = cof == 0
     cof[zero] = 1
-    stripes: list[tuple[np.ndarray, int, np.ndarray]] = []
+    stripes: list[tuple[np.ndarray, object, np.ndarray]] = []
     _strike_band(spec, table, ys, cof, lambda idx, p, exps: stripes.append((idx, p, exps)))
     mask = _band_mask(spec, ys).ravel() & ~zero
     factors: dict[int, list[tuple[int, int]]] = {}
     for idx, p, vals in stripes:
-        for i, v in zip(idx.tolist(), vals.tolist()):
+        for i, q, v in zip(idx.tolist(), np.broadcast_to(p, idx.shape).tolist(), vals.tolist()):
             if mask[i]:
-                factors.setdefault(i, []).append((p, v))
+                factors.setdefault(i, []).append((q, v))
     out: dict[tuple[int, int], Factorization] = {}
     flat_sel = np.nonzero(mask)[0]
     vflat = V

@@ -235,14 +235,6 @@ def rad(a: Ideal) -> Ideal:
     return Ideal.from_factors((q, 1) for q, _ in a.factors)
 
 
-def split_S(a: Ideal, S: Iterable[PrimeIdeal]) -> tuple[Ideal, Ideal]:
-    """(part supported on S, part outside S); the product is a."""
-    sset = set(S)
-    inside = [(q, e) for q, e in a.factors if q in sset]
-    outside = [(q, e) for q, e in a.factors if q not in sset]
-    return Ideal.from_factors(inside), Ideal.from_factors(outside)
-
-
 def divisors(a: Ideal, cap: int = _DIVISOR_CAP) -> Iterator[Ideal]:
     """All tau(a) divisors, each exactly once."""
     if tau(a) > cap:

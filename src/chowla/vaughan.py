@@ -19,16 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterable
 
-from .ideal_arith import (
-    _DIVISOR_CAP,
-    Ideal,
-    PrimeIdeal,
-    divisors,
-    mu_ideal,
-    norm,
-    rad,
-    tau,
-)
+from .ideal_arith import _DIVISOR_CAP, Ideal, PrimeIdeal, norm, tau
 
 
 @dataclass(frozen=True)
@@ -165,6 +156,20 @@ class FlipRecord:
         return self.lhs == self.rhs and self.mu_total == 0
 
 
+def _divisor_norms(e: Ideal):
+    """(N(c), mu(c)) for every divisor c of e, read off its exponent vector."""
+    if tau(e) > _DIVISOR_CAP:
+        raise ValueError(f"divisor count {tau(e)} exceeds the cap {_DIVISOR_CAP}")
+    # per prime q^k of e, (N(q)^x, mu(q^x)) for x = 0..k; mu(q^x) = 0 from x = 2
+    powers = [[(q.norm**x, (1, -1, 0)[min(x, 2)]) for x in range(k + 1)] for q, k in e.factors]
+    for choice in itertools.product(*powers):
+        nc = mc = 1
+        for n, m in choice:
+            nc *= n
+            mc *= m
+        yield nc, mc
+
+
 def window_flip(e: Ideal, u) -> FlipRecord:
     """Complement-map identity on divisor Mobius sums of a non-unit ideal:
     the sum of mu(c) over c | e with norm > u equals mu(rad e) times the sum
@@ -173,21 +178,20 @@ def window_flip(e: Ideal, u) -> FlipRecord:
     if e.is_unit:
         raise ValueError("flip needs a non-unit ideal")
     u = Fraction(u)
-    flip_cut = Fraction(norm(rad(e))) / u
+    flip_cut = Fraction(math.prod(q.norm for q, _ in e.factors)) / u
     lhs = 0
     rhs = 0
     mu_total = 0
-    for c in divisors(e):
-        mc = mu_ideal(c)
-        mu_total += mc
+    for nc, mc in _divisor_norms(e):
         if not mc:
             continue
-        nc = norm(c)
+        mu_total += mc
         if nc > u:
             lhs += mc
         if nc < flip_cut:
             rhs += mc
-    return FlipRecord(lhs, mu_ideal(rad(e)) * rhs, mu_total)
+    mu_rad = -1 if len(e.factors) % 2 else 1
+    return FlipRecord(lhs, mu_rad * rhs, mu_total)
 
 
 def pairing_bound(e: Ideal, y, l) -> tuple[int, int]:
@@ -201,12 +205,12 @@ def pairing_bound(e: Ideal, y, l) -> tuple[int, int]:
     l = Fraction(l)
     if not any(Fraction(q.norm) <= l for q, _ in e.factors):
         raise ValueError("hypothesis violated: no prime divisor of norm <= l")
+    low = y / l
     acc = 0
     window = 0
-    for c in divisors(e):
-        nc = norm(c)
+    for nc, mc in _divisor_norms(e):
         if nc <= y:
-            acc += mu_ideal(c)
-        if y / l < nc <= y:
+            acc += mc
+        if low < nc <= y:
             window += 1
     return abs(acc), window

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from chowla.ideal_arith import Ideal, PrimeIdeal, divisors, mu_ideal, norm, split_S, tau
+from chowla.ideal_arith import Ideal, PrimeIdeal, divisors, mu_ideal, norm, tau
 
 
 # ------------------------------------------------------------- int oracles
@@ -197,6 +197,14 @@ def random_ideal(
 
 
 # ------------------------------------------------------------- window oracles
+
+
+def split_S(a: Ideal, S) -> tuple[Ideal, Ideal]:
+    """(part supported on S, part outside S); the product is a."""
+    sset = set(S)
+    inside = [(q, e) for q, e in a.factors if q in sset]
+    outside = [(q, e) for q, e in a.factors if q not in sset]
+    return Ideal.from_factors(inside), Ideal.from_factors(outside)
 
 
 def sum_star_pairs(a: Ideal, Q, cap: int = 1 << 16):

@@ -18,9 +18,9 @@ from chowla.factor_sieve import (
     parity_range,
     sieve_grid,
 )
-from chowla.region_lattice import ConvexRegion, LatticeCoset
+from chowla.region_lattice import ConvexRegion, LatticeCoset, parse_region
 
-from helpers import spf_parity_tables, trial_factor
+from helpers import simple_primes, spf_parity_tables, trial_factor
 
 F2 = BinaryCubicForm(1, 0, 0, 2)
 
@@ -347,3 +347,123 @@ def test_grid_paths_vs_trial_division_random():
         for pt, v in admitted.items():
             assert table[pt].value == v, where
             assert list(table[pt].factors) == trial_factor(v), where
+
+
+# ------------------------------------------------------------- lattice walk
+
+
+def _walked(pairs, xmin: int, width: int, y0: int, y1: int) -> list[tuple[int, int]]:
+    """(flat band index, p) of every hit of the walk, in walk order."""
+    p = np.array([q for q, _ in pairs], dtype=np.int64)
+    r = np.array([r for _, r in pairs], dtype=np.int64)
+    lat = factor_sieve._reduced_lattices(p, r, width)
+    hits = []
+    for idx, q in factor_sieve._lattice_hits(lat, xmin, width, y0, y1):
+        hits += zip(idx.tolist(), q.tolist())
+    return hits
+
+
+def _row_scan(pairs, xmin: int, width: int, y0: int, y1: int) -> list[tuple[int, int]]:
+    """The same hits from the definition: x = r*y (mod p) in each row p does not divide."""
+    hits = []
+    for p, r in pairs:
+        for y in range(y0, y1 + 1):
+            if y % p:
+                first = xmin + (r * y - xmin) % p
+                hits += (((y - y0) * width + x - xmin, p) for x in range(first, xmin + width, p))
+    return hits
+
+
+def test_lattice_walk_vs_row_scan():
+    """Each (p, r) lattice with p >= width, walked through a random strip
+    and run of rows, hits exactly the cells of the row-by-row definition,
+    each once.  Roots near p/phi force the longest Euclid runs; primes far
+    past rows * width meet the band at most once or not at all."""
+    rng = random.Random(1993)
+    phi = (1 + math.sqrt(5)) / 2
+    moderate = simple_primes(5000)
+    huge = [1_000_003, 999_999_937, 2_147_483_647]
+    for case in range(80):
+        width = rng.choice([1, 2, 3, 7, rng.randint(4, 60), rng.randint(60, 400)])
+        xmin = rng.randint(-500, 500)
+        y0 = rng.randint(-600, 600)
+        y1 = y0 + rng.randint(0, 200)
+        near = [q for q in moderate if width <= q < 3 * width + 10][:6]
+        primes = sorted(set(near + rng.sample([q for q in moderate if q >= width], 6) + huge))
+        pairs = sorted({
+            (p, r % p)
+            for p in primes
+            for r in (0, 1, p - 1, round(p / phi), round(p / phi**2), rng.randrange(p))
+        })
+        got = _walked(pairs, xmin, width, y0, y1)
+        want = _row_scan(pairs, xmin, width, y0, y1)
+        where = f"case {case}: width {width}, xmin {xmin}, rows {y0}..{y1}"
+        assert len(got) == len(set(got)), where
+        assert sorted(got) == sorted(want), where
+        assert all(0 <= i < width * (y1 - y0 + 1) for i, _ in got), where
+
+
+def _check_grid(f, S, L=None, coprime=False):
+    """parity_grid arrays and sieve_grid factors against trial division."""
+    grid = parity_grid(f, S, L, coprime_only=coprime, keep_arrays=True)
+    spec = grid.spec
+    table = sieve_grid(f, S, L, coprime_only=coprime)
+    points = 0
+    for y in range(spec.ymin, spec.ymax + 1):
+        for x in range(spec.xmin, spec.xmax + 1):
+            at = (y - spec.ymin, x - spec.xmin)
+            admitted = (x, y) != (0, 0) and S.contains(x, y)
+            admitted &= L is None or L.contains(x, y)
+            admitted &= not coprime or math.gcd(x, y) == 1
+            got = (grid.mu[at], grid.lam[at], grid.omg[at])
+            if not admitted:
+                assert got == (0, 0, 0) and (x, y) not in table, (x, y)
+                continue
+            points += 1
+            v = f(x, y)
+            assert got == _oracle_channels(v), (f.coeffs, x, y, v)
+            assert list(table[(x, y)].factors) == trial_factor(v), (f.coeffs, x, y, v)
+    assert grid.points == points == len(table)
+    return grid
+
+
+# (form, region): walked primes with r = 0, p = width, strips away from
+# x = 0, and tall grids where p >= width divides rows y != 0
+WALK_EDGES = (
+    (F2, parse_region("box:1,2,1,2").scale(30)),  # x, y in [30, 60]: p = 31 = width
+    (BinaryCubicForm(1, 2, -1, 111), parse_region("box:1,2,1,2").scale(30)),  # 37 | d: r = 0
+    (BinaryCubicForm(1, 2, -1, 111), ConvexRegion.box(-40, -10, -25, 70)),
+    (BinaryCubicForm(3, -1, 2, -5), ConvexRegion.box(-3, 3, -60, 60)),  # width 7, tall
+    (BinaryCubicForm(1, 0, 0, 2), ConvexRegion.box(5, 5, -80, 80)),  # width 1: every p walked
+)
+
+
+@pytest.mark.parametrize("case", range(len(WALK_EDGES)))
+def test_walked_primes_vs_trial_division(case, monkeypatch):
+    f, S = WALK_EDGES[case]
+    one = _check_grid(f, S)
+    spec = one.spec
+    # bands of 5 rows: most hold neither y = 0 nor the first row of the walk
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 5 * spec.width)
+    assert len(factor_sieve._bands(spec)) > 5
+    many = _check_grid(f, S)
+    assert np.array_equal(many.mu, one.mu) and np.array_equal(many.lam, one.lam)
+    assert np.array_equal(many.omg, one.omg)
+
+
+def test_prime_dividing_lead_and_row_exact_edge(monkeypatch):
+    """p | a and p | y: f(x, y) = a*x^3 (mod p), so the whole row is struck.
+
+    a = 2 * 7 * 1009 on a strip 7 wide and rows -51..51: 1009 is walked and
+    strikes the row y = 0 whole; 7 = width is walked and strikes the rows
+    y = +-7, +-14, ...; 2 is struck row by row on every even row.  The
+    half-width 51 puts 1009 under the cube root of the value bound, so the
+    factor table strikes it too."""
+    f = BinaryCubicForm(2 * 7 * 1009, 1, -3, 2)
+    assert is_irreducible(f)
+    S = ConvexRegion.box(-3, 3, -51, 51)
+    assert factor_sieve._icbrt_up(factor_sieve._value_bound(factor_sieve._make_spec(f, S, None, False))) > 1009
+    _check_grid(f, S)
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 4 * 7)
+    _check_grid(f, S)
+    _check_grid(f, S, LatticeCoset(basis=((2, 0), (1, 1)), offset=(1, 0)), coprime=True)

@@ -20,7 +20,6 @@ from chowla.ideal_arith import (
     point_lattice,
     prime_ideals_up_to,
     rad,
-    split_S,
     tau,
     valuation_at_point,
 )
@@ -195,8 +194,6 @@ def test_mobius_tau_rad(K2):
     two = p1 * Ideal.prime(q2)
     assert mu_ideal(two) == 1 and tau(two) == 4
     assert rad(Ideal.prime(q1, 3) * Ideal.prime(q2, 2)) == two
-    s_part, rest = split_S(two * sq, [q1])
-    assert s_part == Ideal.prime(q1, 3) and rest == Ideal.prime(q2)
 
 
 def test_divisors(K2):

@@ -17,10 +17,10 @@ from chowla import (
     verify_identity,
     window_flip,
 )
-from chowla.ideal_arith import Ideal, divisors, mu_ideal, norm, tau
+from chowla.ideal_arith import Ideal, divisors, mu_ideal, norm, rad, tau
 from chowla.vaughan import _windows
 
-from helpers import beta_all_oracle, groupings_oracle, random_ideal, sum_star_pairs
+from helpers import beta_all_oracle, groupings_oracle, random_ideal, split_S, sum_star_pairs
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,13 @@ def _brute_star_pairs(a, Q):
                 continue
             out.add((b, c))
     return out
+
+
+def test_split_S(K2):
+    q1, q2 = sorted(prime_ideals_up_to(K2, 40))[::5][:2]
+    a = Ideal.prime(q1, 3) * Ideal.prime(q2)
+    assert split_S(a, [q1]) == (Ideal.prime(q1, 3), Ideal.prime(q2))
+    assert split_S(a, []) == (Ideal.unit(), a)
 
 
 def test_sum_star_pairs_matches_brute(pools):
@@ -210,6 +217,28 @@ def test_window_flip_randomized(pools):
         u = Fraction(rng.randint(1, 1000), rng.randint(1, 10))
         rec = window_flip(e, u)
         assert rec.ok, (e, u, rec)
+
+
+def test_flip_and_pairing_match_divisor_walk(pools):
+    """Both read N(c) and mu(c) off exponent vectors; here every divisor is
+    built as an ideal instead, with Fraction cuts, and the exact tallies
+    must agree."""
+    rng = random.Random(606)
+    for trial in range(150):
+        _, primes = pools[trial % 2]
+        e = random_ideal(rng, primes, max_primes=4, max_exp=3, nonunit=True)
+        u = Fraction(rng.randint(1, 3000), rng.randint(1, 7))
+        cut = Fraction(norm(rad(e))) / u
+        divs = [(norm(c), mu_ideal(c)) for c in divisors(e)]
+        lhs = sum(m for n, m in divs if n > u)
+        rhs = mu_ideal(rad(e)) * sum(m for n, m in divs if n < cut)
+        rec = window_flip(e, u)
+        assert (rec.lhs, rec.rhs, rec.mu_total) == (lhs, rhs, sum(m for _, m in divs)), (e, u)
+        y = Fraction(rng.randint(1, 3000), rng.randint(1, 7))
+        l = max(q.norm for q, _ in e.factors)
+        acc = sum(m for n, m in divs if n <= y)
+        window = sum(1 for n, _ in divs if y / l < n <= y)
+        assert pairing_bound(e, y, l) == (abs(acc), window), (e, y, l)
 
 
 def test_window_flip_rejects_unit():

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from chowla import verify
 from chowla.ideal_arith import mu_ideal
 from chowla.verify import SUITES, CheckResult, run_suite
 
@@ -84,6 +85,37 @@ def test_all_suites_write_every_report(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
     }
     assert digests == REPORT_SHA256
+
+
+# sha256 of the ideals on which each h of the identities suite is first
+# called, one repr a line: the order of its rng draws
+IDENTITIES_DRAWS_SHA256 = "9787c15051a8b1ce6cd0aa510f7ad2a506a839776211200b713c74dfcac98011"
+
+
+def test_identities_rng_draw_order(tmp_path, monkeypatch):
+    """The reports count only passes and failures, so a walk that met the
+    ideals in another order would draw other h values and still write the
+    same bytes; the order of first calls is pinned here instead."""
+    first_calls = []
+    memo_h = verify._memo_h
+
+    def recording_memo_h(rng):
+        h = memo_h(rng)
+        seen = set()
+
+        def recorded(d):
+            if d not in seen:
+                seen.add(d)
+                first_calls.append(repr(d))
+            return h(d)
+
+        return recorded
+
+    monkeypatch.setattr(verify, "_memo_h", recording_memo_h)
+    assert run_suite("identities", out_dir=str(tmp_path)) == 0
+    assert len(first_calls) == 3295
+    digest = hashlib.sha256("\n".join(first_calls).encode()).hexdigest()
+    assert digest == IDENTITIES_DRAWS_SHA256
 
 
 def test_unknown_suite_rejected(tmp_path):
