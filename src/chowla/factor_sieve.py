@@ -1,14 +1,12 @@
 """Multiplicative parity data for form values over integer grids.
 
-Two production paths share one striking engine:
+Two production paths share one striking engine, which strikes every prime
+up to sqrt(max value), so a leftover cofactor is 1 or a single prime:
 
 * parity path: per-point mu, Liouville lambda, and omega-parity of |f(x, y)|
-  over a whole grid, fully vectorized, primes up to sqrt(max value) so the
-  leftover cofactor is 1 or a single prime and no per-point primality test
-  is ever needed;
-* table path: complete factorizations per point, primes up to the cube root
-  of the max value plus exact cofactor resolution (prime, prime square, or
-  semiprime split deterministically).
+  over a whole grid, fully vectorized, with no per-point primality test;
+* table path: complete factorizations per point, the struck primes with
+  their exponents plus the leftover prime, checked against the value.
 
 Striking works line by line: for p not dividing y, the zero locus of f mod p
 is a union of lines x = r*y with f(r, 1) = 0 mod p; rows p | y are covered
@@ -30,7 +28,7 @@ import numpy as np
 
 from .cubic_form import BinaryCubicForm, ExactRangeError, content, is_irreducible
 from .polymod import roots_mod_p
-from .primes import brent_rho, factor_int, is_prime, primes_up_to
+from .primes import factor_int, is_prime, primes_up_to
 from .region_lattice import ConvexRegion, LatticeCoset
 
 _INT64_GUARD = 1 << 62
@@ -164,27 +162,17 @@ class Factorization:
 
 
 def cofactor_resolve(m: int, Z: int) -> list[tuple[int, int]]:
-    """Factor a cofactor whose prime factors all exceed Z, with m < Z^3.
+    """Factor a cofactor whose prime factors all exceed Z, with m < (Z + 1)^2.
 
-    Outcomes: prime, square of a prime, or a semiprime split by a rho step.
-    Anything else means the caller's sieve stage was wrong, which is an error.
+    Such a cofactor is one prime past Z.  Anything else, a square or a
+    semiprime included, means the caller's sieve stage was wrong, which is
+    an error.
     """
     if m <= 1:
         raise ValueError("cofactor must exceed 1")
-    if is_prime(m):
-        if m <= Z:
-            raise SieveCorruptionError(f"cofactor {m} should have been sieved (Z={Z})")
-        return [(m, 1)]
-    s = math.isqrt(m)
-    if s * s == m:
-        if not is_prime(s) or s <= Z:
-            raise SieveCorruptionError(f"square cofactor {m} with non-prime root")
-        return [(s, 2)]
-    d = brent_rho(m)
-    p, q = sorted((d, m // d))
-    if p * q != m or not is_prime(p) or not is_prime(q) or p <= Z or q <= Z:
-        raise SieveCorruptionError(f"cofactor {m} is not a clean semiprime past {Z}")
-    return [(p, 1), (q, 1)]
+    if m <= Z or not is_prime(m):
+        raise SieveCorruptionError(f"cofactor {m} is not one prime past {Z}")
+    return [(m, 1)]
 
 
 # ---------------------------------------------------------------- grid plumbing
@@ -407,20 +395,24 @@ def _divisor_rows(spec: GridSpec, primes: np.ndarray, lead: np.ndarray, y0: int,
 
 @dataclass(frozen=True)
 class _StrikeTable:
-    """The sieving primes of one grid, split at the grid width.
+    """Every prime up to depth, the isqrt of the grid's value bound, split at
+    the grid width; a leftover cofactor is then 1 or one prime.
 
     small: (p, roots, p | a) per prime p < width, struck row by row;
     primes, lead: the primes p >= width and whether p | a;
     lattices: their (p, r) pairs, walked.
     """
 
+    depth: int
     small: list
     primes: np.ndarray
     lead: np.ndarray
     lattices: _Lattices
 
 
-def _strike_table(spec: GridSpec, primes: np.ndarray) -> _StrikeTable:
+def _strike_table(spec: GridSpec) -> _StrikeTable:
+    depth = math.isqrt(_value_bound(spec))
+    primes = primes_up_to(depth)
     pair_p, pair_r = _root_table(spec.form, primes)
     width = spec.width
     a = spec.form.a
@@ -431,7 +423,7 @@ def _strike_table(spec: GridSpec, primes: np.ndarray) -> _StrikeTable:
     large = primes[primes >= width].astype(np.int64)
     cut = np.searchsorted(pair_p, width)
     return _StrikeTable(
-        small, large, a % large == 0, _reduced_lattices(pair_p[cut:], pair_r[cut:], width)
+        depth, small, large, a % large == 0, _reduced_lattices(pair_p[cut:], pair_r[cut:], width)
     )
 
 
@@ -547,17 +539,26 @@ def _strike_band(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, cof: np.nd
             visit(idx, q, _divide_out(cof, idx, q))
 
 
+def _sieve_band(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, visit):
+    """Strike every table prime out of the band's values, calling visit as
+    _strike_band does.
+
+    Returns the flat values, their leftover cofactors and the mask of
+    admitted points; zero values get cofactor 1 and are left out of the mask.
+    """
+    V = _band_values(spec, ys).ravel()
+    zero = V == 0
+    cof = np.abs(V)
+    cof[zero] = 1
+    _strike_band(spec, table, ys, cof, visit)
+    return V, cof, _band_mask(spec, ys).ravel() & ~zero
+
+
 def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, ys: np.ndarray):
     """Return (points, mu_sum, lam_sum, omg_sum, mu/lam/omg int8 arrays)."""
-    V = _band_values(spec, ys)
-    sign_zero = V.ravel() == 0
-    cof = np.abs(V).ravel()
-    cof[sign_zero] = 1
-    counts = _ParityCounts(cof.size)
-    _strike_band(spec, table, ys, cof, counts.add)
+    counts = _ParityCounts(ys.size * spec.width)
+    cof, mask = _sieve_band(spec, table, ys, counts.add)[1:]
     mu_flat, lam_flat, omg_flat = counts.channels(cof)
-    mask = _band_mask(spec, ys).ravel()
-    mask &= ~sign_zero
     points = int(mask.sum())
     sums = (
         int(mu_flat[mask].sum(dtype=np.int64)),
@@ -628,8 +629,7 @@ def parity_grid(
         return ParityGrid(None, 0, 0, 0, 0)
     if keep_arrays and spec.cells > _TABLE_CELL_CAP * 8:
         raise ExactRangeError("grid too large to retain per-point arrays")
-    bound = _value_bound(spec)
-    table = _strike_table(spec, primes_up_to(math.isqrt(bound)))
+    table = _strike_table(spec)
     bands = _bands(spec)
 
     def work(ys):
@@ -663,41 +663,33 @@ def sieve_grid(
 ) -> dict[tuple[int, int], Factorization]:
     """Complete factorization of f(x, y) at every admitted grid point.
 
-    Primes up to the cube root of the value bound are struck along root
-    lines; each leftover cofactor is resolved exactly.  The factor product
-    is checked against the value, so a wrong table cannot escape quietly.
+    Every prime up to the square root of the value bound is struck, as on
+    the parity path, so each leftover cofactor is one prime or 1.  The
+    factor product is checked against the value, so a wrong table cannot
+    escape quietly.
     """
     spec = _make_spec(f, S, L, coprime_only)
     if spec is None:
         return {}
     if spec.cells > _TABLE_CELL_CAP:
         raise ExactRangeError(f"factor table of {spec.cells} cells is past the supported size")
-    bound = _value_bound(spec)
-    Z = _icbrt_up(bound)
-    table = _strike_table(spec, primes_up_to(Z))
+    table = _strike_table(spec)
     ys = np.arange(spec.ymin, spec.ymax + 1, dtype=np.int64)
     width = spec.width
-    V = _band_values(spec, ys).ravel()
-    cof = np.abs(V)
-    zero = cof == 0
-    cof[zero] = 1
     stripes: list[tuple[np.ndarray, object, np.ndarray]] = []
-    _strike_band(spec, table, ys, cof, lambda idx, p, exps: stripes.append((idx, p, exps)))
-    mask = _band_mask(spec, ys).ravel() & ~zero
+    V, cof, mask = _sieve_band(spec, table, ys, lambda idx, p, exps: stripes.append((idx, p, exps)))
     factors: dict[int, list[tuple[int, int]]] = {}
     for idx, p, vals in stripes:
         for i, q, v in zip(idx.tolist(), np.broadcast_to(p, idx.shape).tolist(), vals.tolist()):
             if mask[i]:
                 factors.setdefault(i, []).append((q, v))
     out: dict[tuple[int, int], Factorization] = {}
-    flat_sel = np.nonzero(mask)[0]
-    vflat = V
-    for i in flat_sel.tolist():
-        value = int(vflat[i])
+    for i in np.nonzero(mask)[0].tolist():
+        value = int(V[i])
         rem = int(cof[i])
         fs = factors.get(i, [])
         if rem > 1:
-            fs = fs + cofactor_resolve(rem, Z)
+            fs = fs + cofactor_resolve(rem, table.depth)
         fs.sort()
         fz = Factorization(
             value=value,
@@ -710,12 +702,3 @@ def sieve_grid(
         y = spec.ymin + i // width
         out[(x, y)] = fz
     return out
-
-
-def _icbrt_up(n: int) -> int:
-    s = round(n ** (1.0 / 3.0))
-    while s**3 < n:
-        s += 1
-    while s > 1 and (s - 1) ** 3 >= n:
-        s -= 1
-    return s

@@ -1,13 +1,9 @@
 """Polynomials of degree <= 3 mod a prime p: roots, splitting type, lifting.
 
-Coefficient lists are lowest-degree-first. Past a small-prime scan, roots
-are found in closed form on Python ints, so every p takes the same path.
+Coefficient lists are lowest-degree-first. Roots are found in closed form
+on Python ints, so every odd p takes the same path.
 """
 from __future__ import annotations
-
-import numpy as np
-
-_BRUTE_LIMIT = 3000  # below this, root finding just scans GF(p)
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -25,14 +21,6 @@ def poly_eval(a, x: int, p: int) -> int:
     for c in reversed(a):
         acc = (acc * x + c) % p
     return acc
-
-
-def _roots_brute(coeffs, p: int) -> list[int]:
-    t = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed([c % p for c in coeffs]):
-        acc = (acc * t + c) % p
-    return [int(r) for r in np.nonzero(acc == 0)[0]]
 
 
 def _sqrt_mod(n: int, p: int) -> int:
@@ -147,16 +135,17 @@ def _cubic_roots(D: int, C: int, B: int, p: int) -> list[int]:
 def roots_mod_p(coeffs, p: int) -> list[int]:
     """Distinct roots in GF(p) of a polynomial of degree <= 3, sorted.
 
-    Scans all residues for small p.  Otherwise the polynomial is made monic
-    and solved in closed form on Python ints: a line directly, a quadratic
-    by its discriminant, a cubic through gcd(f, t^p - t) and, when f
-    splits completely, one Cantor-Zassenhaus step and the quadratic formula.
+    For p = 2 both residues are tried.  For odd p the polynomial is made
+    monic and solved in closed form on Python ints: a line directly, a
+    quadratic by its discriminant, a cubic through gcd(f, t^p - t) and, when
+    f splits completely, one Cantor-Zassenhaus step and the quadratic
+    formula.
     """
     f = poly_reduce(coeffs, p)
     if not f:
         raise ValueError(f"polynomial vanishes identically mod {p}")
-    if p < _BRUTE_LIMIT:
-        return _roots_brute(f, p)
+    if p == 2:
+        return [r for r in (0, 1) if poly_eval(f, r, 2) == 0]
     inv = pow(f[-1], -1, p)
     monic = [c * inv % p for c in f[:-1]]
     if len(monic) == 0:

@@ -81,15 +81,17 @@ def brun_pure_weights(
     return SieveWeights(weights, frozenset(primes), lower_gap, cut, depth)
 
 
-def sieve_value(W: SieveWeights, b: Ideal) -> int:
-    """Sum of the weights over the divisors of b (only squarefree divisors
-    composed of sieving primes can contribute)."""
+def _sieving_divisors(W: SieveWeights, b: Ideal):
+    """The squarefree divisors of b composed of sieving primes: the only
+    divisors that can carry weight."""
     shared = [q for q, _ in b.factors if q in W.P]
-    total = 0
     for mask in range(1 << len(shared)):
-        d = Ideal.from_factors((shared[i], 1) for i in range(len(shared)) if mask >> i & 1)
-        total += W.weight(d)
-    return total
+        yield Ideal.from_factors((shared[i], 1) for i in range(len(shared)) if mask >> i & 1)
+
+
+def sieve_value(W: SieveWeights, b: Ideal) -> int:
+    """Sum of the weights over the divisors of b."""
+    return sum(W.weight(d) for d in _sieving_divisors(W, b))
 
 
 def buchstab_split(W: SieveWeights, b: Ideal) -> tuple[int, int]:
@@ -105,11 +107,9 @@ def buchstab_split(W: SieveWeights, b: Ideal) -> tuple[int, int]:
             nd = norm(d)
             if not (lo < nd <= hi):
                 raise ValueError(f"weight support leaks outside the window at norm {nd}")
-    shared = [q for q, _ in b.factors if q in W.P]
     main = 0
     tail = 0
-    for mask in range(1 << len(shared)):
-        d = Ideal.from_factors((shared[i], 1) for i in range(len(shared)) if mask >> i & 1)
+    for d in _sieving_divisors(W, b):
         wt = W.weight(d)
         if not wt:
             continue

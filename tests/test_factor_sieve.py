@@ -75,13 +75,18 @@ def test_parity_range_matches_singles():
 
 def test_cofactor_resolve_examples():
     assert cofactor_resolve(101, 100) == [(101, 1)]
-    assert cofactor_resolve(10201, 100) == [(101, 2)]
-    assert cofactor_resolve(10403, 100) == [(101, 1), (103, 1)]
 
 
 def test_cofactor_resolve_corruption():
     with pytest.raises(SieveCorruptionError):
         cofactor_resolve(30, 100)  # small primes should have been struck
+    with pytest.raises(SieveCorruptionError):
+        cofactor_resolve(97, 100)  # a prime the sieve should have struck
+    # a square or a semiprime of primes past Z is left only by a shallow sieve
+    with pytest.raises(SieveCorruptionError):
+        cofactor_resolve(101 * 101, 100)
+    with pytest.raises(SieveCorruptionError):
+        cofactor_resolve(101 * 103, 100)
     with pytest.raises(SieveCorruptionError):
         cofactor_resolve(101 * 103 * 107, 100)  # three large primes
     with pytest.raises(SieveCorruptionError):
@@ -189,6 +194,23 @@ def _no_sieve(monkeypatch):
         raise _Sieved
 
     monkeypatch.setattr(factor_sieve, "_root_table", refuse)
+
+
+def test_grid_paths_strike_the_same_primes(monkeypatch):
+    """Both grid paths take their primes from one table, at the same depth."""
+    seen = []
+    root_table = factor_sieve._root_table
+
+    def record(f, primes):
+        seen.append(primes)
+        return root_table(f, primes)
+
+    monkeypatch.setattr(factor_sieve, "_root_table", record)
+    S = ConvexRegion.box(-30, 30, -30, 30)
+    parity_grid(F2, S)
+    sieve_grid(F2, S)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], seen[1])
 
 
 def test_factor_table_cap_exact_edge(monkeypatch):
@@ -457,12 +479,12 @@ def test_prime_dividing_lead_and_row_exact_edge(monkeypatch):
     a = 2 * 7 * 1009 on a strip 7 wide and rows -51..51: 1009 is walked and
     strikes the row y = 0 whole; 7 = width is walked and strikes the rows
     y = +-7, +-14, ...; 2 is struck row by row on every even row.  The
-    half-width 51 puts 1009 under the cube root of the value bound, so the
+    half-width 51 puts 1009 under the square root of the value bound, so the
     factor table strikes it too."""
     f = BinaryCubicForm(2 * 7 * 1009, 1, -3, 2)
     assert is_irreducible(f)
     S = ConvexRegion.box(-3, 3, -51, 51)
-    assert factor_sieve._icbrt_up(factor_sieve._value_bound(factor_sieve._make_spec(f, S, None, False))) > 1009
+    assert math.isqrt(factor_sieve._value_bound(factor_sieve._make_spec(f, S, None, False))) > 1009
     _check_grid(f, S)
     monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 4 * 7)
     _check_grid(f, S)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from chowla.polymod import _BRUTE_LIMIT, roots_mod_p
+from chowla.polymod import roots_mod_p
 
 from helpers import simple_primes
 
@@ -42,21 +42,25 @@ def _cases(p: int, rng: random.Random) -> list[list[int]]:
     return cases
 
 
-_NEAR_LIMIT = [p for p in simple_primes(3089) if p >= 2903]
+_SMALL = [p for p in simple_primes(97) if p >= 3]
+_NEAR_3000 = [p for p in simple_primes(3089) if p >= 2903]
 _NEAR_1E5 = [99961, 99971, 99989, 99991, 100003, 100019]
 # p = 1 mod 2^9 ... 2^16: square roots take the long Tonelli-Shanks loop
 _DEEP_2ADIC = [7681, 12289, 40961, 65537]
 
 
-def test_primes_straddle_brute_limit():
-    assert min(_NEAR_LIMIT) < _BRUTE_LIMIT < max(_NEAR_LIMIT)
-
-
-@pytest.mark.parametrize("p", _NEAR_LIMIT + _NEAR_1E5 + _DEEP_2ADIC)
+@pytest.mark.parametrize("p", _SMALL + _NEAR_3000 + _NEAR_1E5 + _DEEP_2ADIC)
 def test_roots_mod_p_vs_scan(p):
     rng = random.Random(p)
     for coeffs in _cases(p, rng):
         assert roots_mod_p(coeffs, p) == _scan(coeffs, p), coeffs
+
+
+def test_roots_mod_2_vs_scan():
+    """Every polynomial of degree <= 3 with 0/1 coefficients, nonzero mod 2."""
+    polys = [[n >> i & 1 for i in range(4)] for n in range(1, 16)]
+    for coeffs in polys:
+        assert roots_mod_p(coeffs, 2) == _scan(coeffs, 2), coeffs
 
 
 def test_roots_mod_p_chosen_roots():
