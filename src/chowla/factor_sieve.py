@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .cubic_form import BinaryCubicForm, ExactRangeError, content, is_irreducible
-from .polymod import roots_mod_p
+from .polymod import roots_mod_primes
 from .primes import factor_int, is_prime, primes_up_to
 from .region_lattice import ConvexRegion, LatticeCoset
 
@@ -180,7 +180,7 @@ def cofactor_resolve(m: int, Z: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Bounding box, masks source, and root table for one sieve run."""
+    """Bounding box and masks source (form, region, coset, coprime flag) for one sieve run."""
 
     form: BinaryCubicForm
     region: ConvexRegion
@@ -233,14 +233,7 @@ def _value_bound(spec: GridSpec) -> int:
 
 def _root_table(f: BinaryCubicForm, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One (p, r) row per root r of f(t, 1) mod p: int64 arrays in prime order."""
-    poly = f.dehomogenized()
-    pair_p: list[int] = []
-    pair_r: list[int] = []
-    for p in primes.tolist():
-        roots = roots_mod_p(poly, p)
-        pair_p += [p] * len(roots)
-        pair_r += roots
-    return np.array(pair_p, dtype=np.int64), np.array(pair_r, dtype=np.int64)
+    return roots_mod_primes(f.dehomogenized(), primes)
 
 
 @dataclass(frozen=True)

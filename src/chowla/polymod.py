@@ -1,9 +1,16 @@
 """Polynomials of degree <= 3 mod a prime p: roots, splitting type, lifting.
 
-Coefficient lists are lowest-degree-first. Roots are found in closed form
-on Python ints, so every odd p takes the same path.
+Coefficient lists are lowest-degree-first.  Roots come in two lane shapes
+with one algebra: gcd(f, t^p - t), then one Cantor-Zassenhaus step where f
+splits completely.  ``roots_mod_p`` solves one prime on Python ints, for
+the ideal layer; ``roots_mod_primes`` solves every prime of a sieve at once
+on int64 numpy lanes, one lane per prime, all lanes in step.
 """
 from __future__ import annotations
+
+import numpy as np
+
+from .cubic_form import ExactRangeError
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -155,6 +162,211 @@ def roots_mod_p(coeffs, p: int) -> list[int]:
     if len(monic) == 2:
         return _quadratic_roots(monic[1], monic[0], p)
     return _cubic_roots(*monic, p)
+
+
+# Lanes hold residues below 2^31: a product of two is below 2^62, and a sum
+# of two such products, 2*(2^31 - 1)^2 at most, still fits in int64.
+_LANE_LIMIT = 1 << 31
+# shifts delta (and non-residue candidates) tried per open lane in one pass
+_TRIES = 4
+
+
+def _bits(e):
+    """The bits of each lane's exponent e, most significant first, one 0/1
+    array per bit."""
+    for k in reversed(range(int(e.max()).bit_length())):
+        yield (e >> k) % 2
+
+
+def _lane_pow(b, e, p):
+    """b^e mod p per lane, by square-and-multiply over the bits of each e."""
+    b = b % p
+    r = np.ones_like(p)
+    for odd in _bits(e):
+        r = r * r % p
+        r = np.where(odd, r * b % p, r)
+    return r
+
+
+def _lane_pow_t(e, B, C, D, p):
+    """t^e mod the monic t^3 + B*t^2 + C*t + D per lane, as (c0, c1, c2)."""
+    a0, a1, a2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+    nD = -D
+    for odd in _bits(e):
+        # square, reducing 2*a before it multiplies; t^4 and then t^3 fold
+        # back through t^3 = -B*t^2 - C*t - D
+        u, v = 2 * a2 % p, 2 * a1 % p
+        s4 = a2 * a2 % p
+        s3 = (a1 * u - B * s4) % p
+        s2 = (a0 * u + a1 * a1) % p
+        a0, a1, a2 = (
+            (a0 * a0 - D * s3) % p,
+            (a0 * v % p - D * s4 - C * s3) % p,
+            (s2 - C * s4 - B * s3) % p,
+        )
+        a0, a1, a2 = (  # times t
+            np.where(odd, nD * a2 % p, a0),
+            np.where(odd, (a0 - C * a2) % p, a1),
+            np.where(odd, (a1 - B * a2) % p, a2),
+        )
+    return a0, a1, a2
+
+
+def _lane_gcd_root(B, C, D, h0, h1, h2, p):
+    """``_gcd_root`` on lanes: (x, found, divides) per lane.
+
+    Where found, x is a root of f = t^3 + B*t^2 + C*t + D.  Where h divides
+    f (divides), x is the root of f / h, as in ``_gcd_root``.  A lane with
+    h = 0 is not found.  Each lane takes one modular inverse: the remainder
+    of f by a quadratic h is read scaled by h2^2.
+    """
+    y = h0 * h2 % p
+    sq = h2 * h2 % p
+    # h2^2 * (f mod h) = R1*t + R0 for a quadratic h
+    R1 = ((h1 * h1 - B * h1 % p * h2) % p - y + C * sq) % p
+    R0 = ((h1 * h0 - B * y) % p + D * sq) % p
+    quad = h2 != 0
+    divides = quad & (R1 == 0) & (R0 == 0)
+    num = np.where(divides, h1 - B * h2, np.where(quad, -R0, -h0)) % p
+    den = np.where(divides, h2, np.where(quad, R1, h1))
+    found = den != 0
+    x = num * _lane_pow(np.where(found, den, 1), p - 2, p) % p
+    # a linear gcd candidate is a root only where f vanishes
+    fx = (((x + B) * x % p + C) * x + D) % p
+    return x, found & (divides | (fx == 0)), divides
+
+
+def _lane_nonresidues(p):
+    """A quadratic non-residue mod each odd prime p, from 2, 3, 4, ..."""
+    z = np.zeros_like(p)
+    todo = np.arange(p.size)
+    start = 2
+    while todo.size:
+        lane = np.repeat(todo, _TRIES)
+        cand = np.tile(np.arange(start, start + _TRIES, dtype=np.int64), todo.size)
+        q = p[lane]
+        hit = _lane_pow(cand, (q - 1) // 2, q) == q - 1
+        z[lane[hit]] = cand[hit]  # any non-residue serves
+        todo = todo[z[todo] == 0]
+        start += _TRIES
+    return z
+
+
+def _lane_sqrt(n, p):
+    """A square root of each quadratic residue n mod an odd prime p.
+
+    Tonelli-Shanks with p - 1 = q * 2^s, all lanes in step: t = n^q is
+    pushed down the 2-Sylow subgroup one order at a time by c = z^q, its
+    generator, so step i runs on the lanes with s > i.
+    """
+    q = p - 1
+    while True:
+        even = q % 2 == 0
+        if not even.any():
+            break
+        q = np.where(even, q // 2, q)
+    low = (p - 1) // q  # 2^s
+    x = _lane_pow(n, (q - 1) // 2, p)
+    r = n * x % p
+    t = r * x % p
+    c = np.ones_like(p)  # lanes with s = 1 take no step
+    deep = np.nonzero(low > 2)[0]
+    if deep.size:
+        c[deep] = _lane_pow(_lane_nonresidues(p[deep]), q[deep], p[deep])
+    for i in reversed(range(1, int(low.max()).bit_length() - 1)):
+        # on the live lanes t has order dividing 2^i, and c order 2^(i+1)
+        live = low > 1 << i
+        d = t
+        for _ in range(i - 1):
+            d = d * d % p
+        flip = live & (d == p - 1)
+        r = np.where(flip, r * c % p, r)
+        c = np.where(live, c * c % p, c)
+        t = np.where(flip, t * c % p, t)
+    return r
+
+
+def _lane_split_roots(B, C, D, p):
+    """The three roots of monic cubics f that divide t^p - t, p odd.
+
+    Cantor-Zassenhaus as in ``_cubic_roots``: for delta = 1, 2, ... on the
+    lanes still open, gcd(f, (t + delta)^((p-1)/2) - 1) yields one root r,
+    read off g(u) = f(u - delta), whose roots are those of f shifted by
+    delta, as gcd(g, u^((p-1)/2) - 1); then f / (t - r) by the quadratic
+    formula.
+    """
+    r = np.full_like(p, -1)
+    todo = np.arange(p.size)
+    delta = 1
+    while todo.size:
+        if delta >= int(p[todo].max()):
+            raise ArithmeticError("equal-degree split failed")
+        lane = np.repeat(todo, _TRIES)
+        q = p[lane]
+        shift = -np.tile(np.arange(delta, delta + _TRIES, dtype=np.int64), todo.size) % q
+        # g(u) = f(u + shift), by Taylor shift
+        g = [D[lane], C[lane], B[lane], np.ones_like(q)]
+        for i in range(3):
+            for j in range(2, i - 1, -1):
+                g[j] = (g[j] + shift * g[j + 1]) % q
+        w0, w1, w2 = _lane_pow_t((q - 1) // 2, g[2], g[1], g[0], q)
+        x, found, _ = _lane_gcd_root(g[2], g[1], g[0], (w0 - 1) % q, w1, w2, q)
+        r[lane[found]] = (x[found] + shift[found]) % q[found]  # any root found serves
+        todo = todo[r[todo] < 0]
+        delta += _TRIES
+    e1 = (B + r) % p  # f / (t - r) = t^2 + e1*t + e0
+    e0 = (C + r * e1) % p
+    s = _lane_sqrt((e1 * e1 - 4 * e0) % p, p)
+    half = (p + 1) // 2
+    return r, (s - e1) * half % p, (-s - e1) * half % p
+
+
+def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct roots of a polynomial of degree <= 3 mod every prime given.
+
+    Returns (pair_p, pair_r), int64 arrays with one entry per root, in the
+    order of primes and sorted within each prime: what ``roots_mod_p`` finds
+    one prime at a time.  One lane per prime, all lanes in step, the same
+    algebra as ``_cubic_roots``.  A lane where p divides the leading
+    coefficient solves the cubic t^k * f instead and drops the root 0 it
+    added unless f(0) = 0 mod p.  Every lane is exact for p < 2^31; a larger
+    prime raises ExactRangeError.
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    if not p.size:
+        return p.copy(), p.copy()
+    if int(p.max()) >= _LANE_LIMIT:
+        raise ExactRangeError(f"prime {int(p.max())} is past the exact int64 root lanes")
+    f = [np.remainder(c, p) for c in coeffs]
+    f += [np.zeros_like(p)] * (4 - len(f))
+    added = (f[3] == 0) & (f[0] != 0)
+    for _ in range(3):
+        low = f[3] == 0
+        if not low.any():
+            break
+        f = [np.where(low, f[i - 1] if i else 0, f[i]) for i in range(4)]
+    if (f[3] == 0).any():
+        raise ValueError(f"polynomial vanishes identically mod {int(p[f[3] == 0][0])}")
+    inv = _lane_pow(f[3], p - 2, p)
+    D, C, B = (c * inv % p for c in f[:3])
+    del f, inv
+    h0, h1, h2 = _lane_pow_t(p, B, C, D, p)
+    h1 = (h1 - 1) % p  # t^p - t mod f
+    x, found, divides = _lane_gcd_root(B, C, D, h0, h1, h2, p)
+    # a quadratic gcd: two distinct roots, x the double one
+    roots = [np.where(found, x, p), np.where(divides, (-B - 2 * x) % p, p), p.copy()]
+    split = np.nonzero((h0 == 0) & (h1 == 0) & (h2 == 0))[0]
+    if split.size:
+        for col, r in zip(roots, _lane_split_roots(B[split], C[split], D[split], p[split])):
+            col[split] = r
+    r0, r1, r2 = (np.where(added & (col == 0), p, col) for col in roots)
+    # sort each lane's three slots; p marks an empty one
+    r0, r1 = np.minimum(r0, r1), np.maximum(r0, r1)
+    r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
+    r0, r1 = np.minimum(r0, r1), np.maximum(r0, r1)
+    table = np.stack((r0, r1, r2), axis=1)
+    keep = table < p[:, None]
+    return np.repeat(p, keep.sum(axis=1)), table[keep]
 
 
 def _derivative(coeffs) -> list[int]:

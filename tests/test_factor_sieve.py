@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -280,6 +281,40 @@ def test_grid_rejects_bad_forms():
     with pytest.raises(ExactRangeError):
         parity_grid(F2, ConvexRegion.box(-1, 1, -1, 1).scale(10**6))
 
+
+
+# sha256 of each grid's mu, lambda and omega-sign arrays and of its factor
+# table: the sieve's outputs must not change with how its roots are found
+GRID_SHA256 = (
+    # a box
+    (BinaryCubicForm(1, 0, 0, 2), ConvexRegion.box(-70, 70, -70, 70), None, False,
+     "c653db6e9989096401f1bdb60e3eca53726ec23fc44bfd159313639ad79f94e6"),
+    # a non-monic box, on a coset and coprime points only
+    (BinaryCubicForm(3, -1, 2, -5), ConvexRegion.box(-80, 80, -80, 80),
+     LatticeCoset(basis=((3, 0), (1, 1)), offset=(1, 2)), True,
+     "a5e993ffe5f3edae59ee17eca24b8704a9d8ce3d66793450d24474004c8e3b2b"),
+    # a strip 7 wide with 2 * 7 * 1009 | a
+    (BinaryCubicForm(2 * 7 * 1009, 1, -3, 2), ConvexRegion.box(-3, 3, -150, 150), None, False,
+     "114812759034dcda968caa85c71d81aa2085bc41f2a20de882d258b3639d02ae"),
+    # a column one wide: every prime is walked
+    (BinaryCubicForm(1, 0, 0, 2), ConvexRegion.box(5, 5, -1500, 1500), None, False,
+     "15c34ce664d1d47c0d5e65057011f8242610e8d47477c7f2dc5996c351ee1924"),
+    # a wide strip
+    (BinaryCubicForm(1, 2, -1, 111), ConvexRegion.box(-500, 500, -2, 2), None, False,
+     "91948f032d2e620e93c503596b5e85996d52e23ef28b207824f5e9fc4463b622"),
+)
+
+
+@pytest.mark.parametrize("case", range(len(GRID_SHA256)))
+def test_grid_outputs_pinned(case):
+    f, S, L, coprime, want = GRID_SHA256[case]
+    grid = parity_grid(f, S, L, coprime_only=coprime, keep_arrays=True)
+    h = hashlib.sha256()
+    for arr in (grid.mu, grid.lam, grid.omg):
+        h.update(arr.tobytes())
+    table = sieve_grid(f, S, L, coprime_only=coprime)
+    h.update("".join(f"{x} {y} {fz.sign} {fz.factors}\n" for (x, y), fz in sorted(table.items())).encode())
+    assert h.hexdigest() == want
 
 def _random_form(rng: random.Random, lead: int) -> BinaryCubicForm:
     """Irreducible content-1 form, coefficients in [-30, 30], given x^3 term."""

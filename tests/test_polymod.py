@@ -1,9 +1,12 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from chowla.polymod import roots_mod_p
+from chowla.cubic_form import ExactRangeError
+from chowla.polymod import roots_mod_p, roots_mod_primes
+from chowla.primes import is_prime
 
 from helpers import simple_primes
 
@@ -49,18 +52,29 @@ _NEAR_1E5 = [99961, 99971, 99989, 99991, 100003, 100019]
 _DEEP_2ADIC = [7681, 12289, 40961, 65537]
 
 
+def _lanes(coeffs, primes) -> tuple[list[int], list[int]]:
+    pair_p, pair_r = roots_mod_primes(coeffs, np.array(primes, dtype=np.int64))
+    assert pair_p.dtype == pair_r.dtype == np.int64
+    return pair_p.tolist(), pair_r.tolist()
+
+
 @pytest.mark.parametrize("p", _SMALL + _NEAR_3000 + _NEAR_1E5 + _DEEP_2ADIC)
 def test_roots_mod_p_vs_scan(p):
+    """Both lane shapes against the scan, the batched one a lane at a time."""
     rng = random.Random(p)
     for coeffs in _cases(p, rng):
-        assert roots_mod_p(coeffs, p) == _scan(coeffs, p), coeffs
+        want = _scan(coeffs, p)
+        assert roots_mod_p(coeffs, p) == want, coeffs
+        assert _lanes(coeffs, [p]) == ([p] * len(want), want), coeffs
 
 
 def test_roots_mod_2_vs_scan():
     """Every polynomial of degree <= 3 with 0/1 coefficients, nonzero mod 2."""
     polys = [[n >> i & 1 for i in range(4)] for n in range(1, 16)]
     for coeffs in polys:
-        assert roots_mod_p(coeffs, 2) == _scan(coeffs, 2), coeffs
+        want = _scan(coeffs, 2)
+        assert roots_mod_p(coeffs, 2) == want, coeffs
+        assert _lanes(coeffs, [2]) == ([2] * len(want), want), coeffs
 
 
 def test_roots_mod_p_chosen_roots():
@@ -101,3 +115,86 @@ def test_roots_mod_p_rejects_vanishing(p):
     for coeffs in ([0, 0, 0, 0], [p, -2 * p, 3 * p, p], [0, 0, 0, p]):
         with pytest.raises(ValueError):
             roots_mod_p(coeffs, p)
+
+
+# ---------------------------------------------------------------- root lanes
+
+
+def _loop(coeffs, primes) -> tuple[list[int], list[int]]:
+    """The per-prime loop: roots_mod_p at each prime, flattened as the lanes are."""
+    pairs = [(p, r) for p in primes for r in roots_mod_p(coeffs, p)]
+    return [p for p, _ in pairs], [r for _, r in pairs]
+
+
+# lowest degree first
+_LANE_FORMS = (
+    [2, 0, 0, 1],  # x^3 + 2y^3, pure: delta = 0 never splits it
+    [1, -3, 0, 1],  # x^3 - 3xy^2 + y^3, cyclic: a third of the primes split it completely
+    [-5, 2, -1, 3],  # non-monic, negative coefficients, 3 | a
+    [1, 10, 35, 55],  # mod 5 a nonzero constant, mod 11 a quadratic
+    # p | a for p <= 13; p | b too for p = 2, 3, 5, where a line (mod 2) or a
+    # nonzero constant (mod 3, 5) is left
+    [7, -3 * 5 * 7, 2 * 3 * 5, -2 * 3 * 5 * 7 * 11 * 13],
+)
+
+
+def _seeded_forms(rng: random.Random, count: int) -> list[list[int]]:
+    """Content-1 forms with negative coefficients whose a is divisible by primes
+    up to 13 and past them."""
+    forms = []
+    while len(forms) < count:
+        lead = rng.choice([1, -1, 6, -35, 1009, -2 * 3 * 5 * 7, 11 * 13 * 17 * 19 * 23])
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(3)] + [lead * rng.randint(1, 50)]
+        if math.gcd(*coeffs) == 1:
+            forms.append(coeffs)
+    return forms
+
+
+def test_roots_mod_primes_vs_loop_to_20000():
+    """One call over every prime up to 20,000 equals the per-prime loop."""
+    primes = simple_primes(20000)
+    for coeffs in list(_LANE_FORMS) + _seeded_forms(random.Random(1981), 8):
+        assert _lanes(coeffs, primes) == _loop(coeffs, primes), coeffs
+
+
+_LANE_EDGE = [2**31 - 1, 2147483629]
+
+
+def test_roots_mod_primes_exact_range_edge():
+    """The largest primes the int64 lanes take, with chosen roots; a prime
+    past 2^31 raises instead of wrapping."""
+    rng = random.Random(2**31)
+    for p in _LANE_EDGE:
+        assert is_prime(p)
+        r1, r2, r3 = rng.sample(range(p), 3)
+        lead = rng.randint(2, p - 1)
+        c = next(c for c in iter(lambda: rng.randrange(2, p), None) if pow(c, (p - 1) // 3, p) != 1)
+        zeta = pow(c, (p - 1) // 3, p)  # a primitive cube root of 1
+        pure = (r1, zeta * r1 % p, zeta * zeta * r1 % p)
+        cases = [
+            ((r1, r2, r3), _from_roots((r1, r2, r3), lead)),
+            ((r1, r2), _from_roots((r1, r1, r2), lead)),
+            ((r3,), _from_roots((r3, r3, r3))),
+            (pure, _from_roots(pure)),
+            ((r1, r2), _from_roots((r1, r2), lead) + [5 * p]),  # p | a
+            ((r2,), _from_roots((r2, r2)) + [-p]),
+        ]
+        for roots, coeffs in cases:
+            coeffs = [k % p for k in coeffs]  # the lanes take int64 coefficients
+            want = sorted(set(roots))
+            assert roots_mod_p(coeffs, p) == want
+            assert _lanes(coeffs, [p]) == ([p] * len(want), want), roots
+    # small coefficients serve both primes in one call
+    assert _lanes(_from_roots((1, 2, 5), lead=3), _LANE_EDGE) == (
+        [_LANE_EDGE[0]] * 3 + [_LANE_EDGE[1]] * 3,
+        [1, 2, 5, 1, 2, 5],
+    )
+    assert is_prime(2147483659)
+    with pytest.raises(ExactRangeError):
+        roots_mod_primes([2, 0, 0, 1], np.array([3, 2147483659], dtype=np.int64))
+
+
+def test_roots_mod_primes_rejects_vanishing():
+    with pytest.raises(ValueError):
+        roots_mod_primes([5, -10, 15, 5], np.array([2, 3, 5, 7], dtype=np.int64))
+    assert _lanes([5, -10, 15, 5], []) == ([], [])
