@@ -5,6 +5,12 @@ coset, compute the average of a parity channel over the integer points of the
 region scaled by each N in a schedule, and compare the decay of the average
 against a slowly-varying envelope.  Output is a deterministic CSV table whose
 bytes do not depend on the thread count.
+
+The parity of f(x, y) does not depend on N, so when the unit region holds the
+origin (an exact rational test), every N*S lies in N_max*S and the schedule is
+sieved once, on N_max's grid, each row read off it band by band.  A region
+without the origin is sieved row by row.  Either way every row passes the
+grid guards, in schedule order, before its sieve runs.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cubic_form import BinaryCubicForm
-from .factor_sieve import parity_grid
+from .factor_sieve import parity_grids
 from .region_lattice import ConvexRegion, LatticeCoset
 
 __all__ = [
@@ -97,26 +103,37 @@ class ExperimentConfig:
             raise ValueError("threads must be >= 1")
 
 
-def chowla_average(cfg: ExperimentConfig, N: int) -> ConvergenceRow:
-    """One row: average the chosen channel over the N-scaled region."""
-    region = cfg.region.scale(N)
-    grid = parity_grid(
+def _rows(cfg: ExperimentConfig, Ns: Sequence[int]) -> list[ConvergenceRow]:
+    """The rows of Ns, read off one sieve of the largest N's grid."""
+    grids = parity_grids(
         cfg.form,
-        region,
+        [cfg.region.scale(N) for N in Ns],
         cfg.coset,
         coprime_only=cfg.coprime_only,
         threads=cfg.threads,
     )
-    total = grid.sum_for(cfg.alpha)
-    points = grid.points
-    average = total / points if points else 0.0
-    env = envelope(N, cfg.epsilon)
-    ratio = None if env is None else average / env
-    return ConvergenceRow(N, points, total, average, env, ratio)
+    rows = []
+    for N, grid in zip(Ns, grids):
+        total = grid.sum_for(cfg.alpha)
+        average = total / grid.points if grid.points else 0.0
+        env = envelope(N, cfg.epsilon)
+        ratio = None if env is None else average / env
+        rows.append(ConvergenceRow(N, grid.points, total, average, env, ratio))
+    return rows
+
+
+def chowla_average(cfg: ExperimentConfig, N: int) -> ConvergenceRow:
+    """One row: average the chosen channel over the N-scaled region."""
+    return _rows(cfg, [N])[0]
 
 
 def convergence_table(cfg: ExperimentConfig) -> list[ConvergenceRow]:
-    rows = [chowla_average(cfg, N) for N in cfg.N_list]
+    """Every row of the schedule; one sieve if the unit region holds the
+    origin (then N*S lies in N_max*S), else one sieve per row."""
+    if cfg.region.contains(0, 0):
+        rows = _rows(cfg, cfg.N_list)
+    else:
+        rows = [chowla_average(cfg, N) for N in cfg.N_list]
     if cfg.out is not None:
         write_table(cfg.out, rows)
     return rows

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -451,36 +451,48 @@ def _strike_sets(spec: GridSpec, entry, ys: np.ndarray, row_base: np.ndarray):
 
 
 def _band_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
-    """Region & coset & coprimality mask for the band rows.
+    """Coset & coprimality mask for the band rows, over the grid's full width.
 
-    The origin is left to the callers, which drop every zero of f; for an
-    irreducible form that is the origin alone.
+    The region is left to the reductions, and the origin to the callers,
+    which drop every zero of f; for an irreducible form that is the origin.
     """
     width = spec.width
-    mask = np.zeros((ys.size, width), dtype=bool)
-    rf = spec.coset.row_form() if spec.coset is not None else None
-    for i, y in enumerate(ys):
-        ext = spec.region.row_extent(int(y))
-        if ext is None:
-            continue
-        xlo, xhi = ext
-        xlo = max(xlo, spec.xmin)
-        xhi = min(xhi, spec.xmax)
-        if xlo > xhi:
-            continue
-        if rf is None:
-            mask[i, xlo - spec.xmin : xhi - spec.xmin + 1] = True
-        else:
-            sol = rf.row_solution(int(y))
-            if sol is None:
-                continue
-            res, mod = sol
-            first = xlo + (res - xlo) % mod
-            if first <= xhi:
-                mask[i, first - spec.xmin : xhi - spec.xmin + 1 : mod] = True
+    if spec.coset is None:
+        mask = np.ones((ys.size, width), dtype=bool)
+    else:
+        mask = np.zeros((ys.size, width), dtype=bool)
+        rf = spec.coset.row_form()
+        for i, y in enumerate(ys.tolist()):
+            sol = rf.row_solution(y)
+            if sol is not None:
+                res, mod = sol
+                mask[i, (res - spec.xmin) % mod :: mod] = True
     if spec.coprime_only:
         mask &= _coprime_mask(spec, ys)
     return mask
+
+
+def _row_extents(spec: GridSpec, regions, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns lo..hi of the grid that each region holds in each band row,
+    as two (regions, rows) arrays; a row a region misses has hi = lo - 1.
+
+    Every region must lie in the grid's bounding box.
+    """
+    lo = np.zeros((len(regions), ys.size), dtype=np.int64)
+    hi = np.full((len(regions), ys.size), -1, dtype=np.int64)
+    for k, S in enumerate(regions):
+        ylo, yhi = S.y_range()
+        for i in np.nonzero((ys >= ylo) & (ys <= yhi))[0].tolist():
+            ext = S.row_extent(int(ys[i]))
+            if ext is not None:
+                lo[k, i], hi[k, i] = ext[0] - spec.xmin, ext[1] - spec.xmin
+    return lo, hi
+
+
+def _inside(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
+    """The (rows, width) mask of the columns lo..hi of each row."""
+    cols = np.arange(width, dtype=np.int64)
+    return (cols >= lo[:, None]) & (cols <= hi[:, None])
 
 
 def _coprime_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
@@ -536,8 +548,8 @@ def _sieve_band(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, visit):
     """Strike every table prime out of the band's values, calling visit as
     _strike_band does.
 
-    Returns the flat values, their leftover cofactors and the mask of
-    admitted points; zero values get cofactor 1 and are left out of the mask.
+    Returns the flat values, their leftover cofactors and the _band_mask;
+    zero values get cofactor 1 and are left out of the mask.
     """
     V = _band_values(spec, ys).ravel()
     zero = V == 0
@@ -547,22 +559,30 @@ def _sieve_band(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, visit):
     return V, cof, _band_mask(spec, ys).ravel() & ~zero
 
 
-def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, ys: np.ndarray):
-    """Return (points, mu_sum, lam_sum, omg_sum, mu/lam/omg int8 arrays)."""
+def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, regions, keep: bool):
+    """Sieve one band and reduce it per region.
+
+    Returns a (regions, 4) int64 array of (points, mu_sum, lam_sum,
+    omg_sum), and the last region's masked mu/lam/omg grids if keep, else
+    None.  A prefix sum along x of each channel makes every region cost two
+    reads per band row, not one per cell.
+    """
     counts = _ParityCounts(ys.size * spec.width)
     cof, mask = _sieve_band(spec, table, ys, counts.add)[1:]
-    mu_flat, lam_flat, omg_flat = counts.channels(cof)
-    points = int(mask.sum())
-    sums = (
-        int(mu_flat[mask].sum(dtype=np.int64)),
-        int(lam_flat[mask].sum(dtype=np.int64)),
-        int(omg_flat[mask].sum(dtype=np.int64)),
-    )
     shape = (ys.size, spec.width)
-    mu_flat[~mask] = 0
-    lam_flat[~mask] = 0
-    omg_flat[~mask] = 0
-    return points, sums, mu_flat.reshape(shape), lam_flat.reshape(shape), omg_flat.reshape(shape)
+    mask, *channels = (ch.reshape(shape) for ch in (mask, *counts.channels(cof)))
+    del cof, counts  # the reduction's prefix sums take their place
+    lo, hi = _row_extents(spec, regions, ys)
+    rows = np.arange(ys.size)
+    prefix = np.zeros((ys.size, spec.width + 1), dtype=np.int32)
+    sums = np.empty((len(regions), 4), dtype=np.int64)
+    for k, ch in enumerate((mask, *channels)):
+        np.cumsum(ch * mask, axis=1, dtype=np.int32, out=prefix[:, 1:])
+        sums[:, k] = (prefix[rows, hi + 1] - prefix[rows, lo]).sum(axis=1)
+    if not keep:
+        return sums, None
+    mask &= _inside(lo[-1], hi[-1], spec.width)
+    return sums, [np.where(mask, ch, np.int8(0)) for ch in channels]
 
 
 def _bands(spec: GridSpec):
@@ -612,37 +632,52 @@ def parity_grid(
     threads: int = 1,
     keep_arrays: bool = False,
 ) -> ParityGrid:
-    """Sieve the whole grid; returns counts, sums, optionally the int8 grids.
+    """Sieve the whole grid; returns counts, sums, optionally the int8 grids."""
+    return parity_grids(f, [S], L, coprime_only, threads, keep_arrays)[0]
 
-    Deterministic for any thread count: bands are reduced in row order and
-    every per-point quantity is integer arithmetic.
+
+def parity_grids(
+    f: BinaryCubicForm,
+    regions: Sequence[ConvexRegion],
+    L: Optional[LatticeCoset] = None,
+    coprime_only: bool = False,
+    threads: int = 1,
+    keep_arrays: bool = False,
+) -> list[ParityGrid]:
+    """One ParityGrid per region, all read off one sieve of the last
+    region's grid; keep_arrays keeps the last region's int8 grids.
+
+    Every region must lie in the last one's bounding box, as N*S does in
+    N_max*S for a convex S holding the origin.  Each region passes the
+    grid guards in turn before anything is sieved.  Deterministic for any
+    thread count: every per-point quantity is integer arithmetic.
     """
-    spec = _make_spec(f, S, L, coprime_only)
+    specs = [_make_spec(f, S, L, coprime_only) for S in regions]
+    spec = specs[-1]
+    if any(s is not None and not (spec is not None and spec.xmin <= s.xmin and s.xmax <= spec.xmax
+                                  and spec.ymin <= s.ymin and s.ymax <= spec.ymax) for s in specs):
+        raise ValueError("every region must lie in the last region's grid")
     if spec is None:
-        return ParityGrid(None, 0, 0, 0, 0)
+        return [ParityGrid(None, 0, 0, 0, 0) for _ in regions]
     if keep_arrays and spec.cells > _TABLE_CELL_CAP * 8:
         raise ExactRangeError("grid too large to retain per-point arrays")
     table = _strike_table(spec)
     bands = _bands(spec)
 
     def work(ys):
-        return _sieve_band_parity(spec, table, ys)
+        return _sieve_band_parity(spec, table, ys, regions, keep_arrays)
 
     if threads > 1 and len(bands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, bands))
     else:
         results = [work(ys) for ys in bands]
-    points = sum(r[0] for r in results)
-    mu_sum = sum(r[1][0] for r in results)
-    lam_sum = sum(r[1][1] for r in results)
-    omg_sum = sum(r[1][2] for r in results)
-    grid = ParityGrid(spec, points, mu_sum, lam_sum, omg_sum)
+    totals = sum(r[0] for r in results)
+    grids = [ParityGrid(s, *map(int, t)) for s, t in zip(specs, totals)]
     if keep_arrays:
-        grid.mu = np.vstack([r[2] for r in results])
-        grid.lam = np.vstack([r[3] for r in results])
-        grid.omg = np.vstack([r[4] for r in results])
-    return grid
+        last = grids[-1]
+        last.mu, last.lam, last.omg = (np.vstack(a) for a in zip(*(r[1] for r in results)))
+    return grids
 
 
 # ---------------------------------------------------------------- table path
@@ -671,6 +706,8 @@ def sieve_grid(
     width = spec.width
     stripes: list[tuple[np.ndarray, object, np.ndarray]] = []
     V, cof, mask = _sieve_band(spec, table, ys, lambda idx, p, exps: stripes.append((idx, p, exps)))
+    lo, hi = _row_extents(spec, [S], ys)
+    mask &= _inside(lo[0], hi[0], width).ravel()
     factors: dict[int, list[tuple[int, int]]] = {}
     for idx, p, vals in stripes:
         for i, q, v in zip(idx.tolist(), np.broadcast_to(p, idx.shape).tolist(), vals.tolist()):

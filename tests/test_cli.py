@@ -10,6 +10,14 @@ from pathlib import Path
 import pytest
 
 import chowla
+from chowla import (
+    ExactRangeError,
+    ExperimentConfig,
+    convergence_table,
+    factor_sieve,
+    parse_form,
+    parse_region,
+)
 from chowla.cli import EXIT_ASSERTION, EXIT_OK, EXIT_RANGE, EXIT_USAGE, main
 
 ROW_10 = "10,440,-14,-0.031818181818181815,NA,NA"
@@ -125,6 +133,27 @@ def test_oversized_scale_exit_3(capsys):
     ]
     assert main(argv) == EXIT_RANGE
     assert "arithmetic range" in capsys.readouterr().err
+
+
+def test_schedule_guards_run_before_any_sieve(tmp_path, capsys, monkeypatch):
+    """A table whose last row is past the value guard fails on that row's
+    half-width before any row is sieved, and writes no CSV."""
+    def refuse(f, primes):
+        raise AssertionError("sieved before the guards")
+
+    monkeypatch.setattr(factor_sieve, "_root_table", refuse)
+    out = tmp_path / "rows.csv"
+    argv = ["avg", "--form", "1,0,0,2", "--alpha", "mu", "--region", "box:-1,1,-1,1",
+            "--N", "10,3000000", "--out", str(out)]
+    assert main(argv) == EXIT_RANGE
+    message = "grid values may exceed the exact 64-bit sieve range (half-width 3000000)"
+    assert capsys.readouterr().err == f"chowla: arithmetic range: {message}\n"
+    assert not out.exists()
+    cfg = ExperimentConfig(form=parse_form("1,0,0,2"), alpha="mu",
+                           region=parse_region("box:-1,1,-1,1"), N_list=[10, 3000000])
+    with pytest.raises(ExactRangeError) as info:
+        convergence_table(cfg)
+    assert str(info.value) == message
 
 
 def test_verify_suite_runs(tmp_path, capsys):

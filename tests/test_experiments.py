@@ -13,6 +13,7 @@ from chowla import (
     chowla_average,
     convergence_table,
     envelope,
+    factor_sieve,
     parse_coset,
     parse_region,
 )
@@ -127,6 +128,50 @@ def test_rows_are_independent():
     assert [r.N for r in table] == [10, 25]
     solo = chowla_average(_cfg(), 25)
     assert table[1] == solo
+
+
+# (region, coset, coprime_only, schedule): the first six hold the origin
+# and share one sieve, the last is sieved row by row
+SCHEDULES = (
+    ("box:-1,1,-1,1", None, False, [10, 25, 40]),
+    ("disc:0,0,1", None, False, [7, 19, 30]),
+    ("poly:0,1;-1,-1;1,-1", None, False, [6, 15, 31]),
+    ("disc:1/2,0,1", "coset:3,0,1,1;1,2", True, [8, 21, 35]),
+    ("box:0,1,0,1", None, False, [3, 11, 29]),  # the origin on the boundary
+    ("disc:0,0,1/3", None, False, [1, 4, 9]),  # N = 1 holds the origin alone
+    ("box:1,2,1,2", None, False, [10, 20]),  # no origin: N*S is not in 20*S
+)
+
+
+@pytest.mark.parametrize("case", range(len(SCHEDULES)))
+def test_shared_sieve_matches_rows_sieved_alone(case, monkeypatch):
+    """Every row of a table equals its own one-row call, on every channel,
+    with the grid cut into many bands and at 1, 2 and 3 threads; a table
+    sieves once exactly when its unit region holds the origin."""
+    region, coset, coprime, schedule = SCHEDULES[case]
+    cfgs = {
+        alpha: _cfg(alpha=alpha, region=parse_region(region), N_list=schedule,
+                    coset=parse_coset(coset) if coset else None, coprime_only=coprime)
+        for alpha in ("mu", "lambda", "omega")
+    }
+    alone = {alpha: [chowla_average(cfg, N) for N in schedule] for alpha, cfg in cfgs.items()}
+    if region == "disc:0,0,1/3":
+        assert alone["mu"][0].points == 0
+    if region == "box:-1,1,-1,1":
+        assert [(r.points, r.total) for r in alone["mu"]] == [grid_mu_sums(FORM, N) for N in schedule]
+    sieves = []
+    strike_table = factor_sieve._strike_table
+    monkeypatch.setattr(factor_sieve, "_strike_table", lambda spec: sieves.append(spec) or strike_table(spec))
+    last = factor_sieve._make_spec(FORM, parse_region(region).scale(schedule[-1]), None, False)
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 3 * last.width)
+    for threads in (1, 2, 3):
+        for alpha, cfg in cfgs.items():
+            cfg.threads = threads
+            sieves.clear()
+            assert convergence_table(cfg) == alone[alpha]
+            shared = cfg.region.contains(0, 0)
+            assert len(sieves) == (1 if shared else len(schedule))
+    assert len(factor_sieve._bands(sieves[-1])) >= 3
 
 
 # ------------------------------------------------------------- tables

@@ -173,6 +173,36 @@ def test_grid_many_bands_match_one_band(monkeypatch):
         assert np.array_equal(many.omg, one.omg)
 
 
+def test_bands_keep_sums_only_unless_asked(monkeypatch):
+    """Without keep_arrays a banded grid holds no int8 grids, and its points
+    and sums equal those of the kept grids."""
+    f = BinaryCubicForm(6, -5, 3, 7)
+    region = ConvexRegion.disc(Fraction(1, 2), 0, 21)
+    L = LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0))
+    spec = factor_sieve._make_spec(f, region, L, True)
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 6 * spec.width)
+    assert len(factor_sieve._bands(spec)) >= 5
+    for threads in (1, 2):
+        kept = parity_grid(f, region, L, coprime_only=True, threads=threads, keep_arrays=True)
+        sums = parity_grid(f, region, L, coprime_only=True, threads=threads)
+        assert sums.points == kept.points == int(np.count_nonzero(kept.omg)) > 0
+        assert (sums.mu_sum, sums.lam_sum, sums.omg_sum) == (kept.mu_sum, kept.lam_sum, kept.omg_sum)
+        assert (kept.mu_sum, kept.lam_sum) == (int(kept.mu.sum()), int(kept.lam.sum()))
+        assert sums.mu is None and sums.lam is None and sums.omg is None
+
+
+def test_parity_grids_want_regions_inside_the_last():
+    """Regions read off one sieve must lie in the last region's grid."""
+    inner = ConvexRegion.box(1, 2, 1, 2)
+    with pytest.raises(ValueError, match="last region"):
+        factor_sieve.parity_grids(F2, [inner.scale(10), inner.scale(20)])
+    part = ConvexRegion.disc(30, 31, 7)
+    shared = factor_sieve.parity_grids(F2, [part, inner.scale(20)])[0]
+    alone = parity_grid(F2, part)
+    assert (shared.points, shared.mu_sum, shared.lam_sum, shared.omg_sum) == (
+        alone.points, alone.mu_sum, alone.lam_sum, alone.omg_sum)
+
+
 def test_grid_guards_exact_edges():
     """The 2^62 value guard and the 230M cell cap, each at its edge; nothing is sieved."""
     # 4 * H * (m + 1)^3 = 4 * 2^30 * 1024^3 = 2^62 at half-width m = 1023
