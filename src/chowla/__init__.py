@@ -30,9 +30,7 @@ from .factor_sieve import (
     ParityGrid,
     SieveCorruptionError,
     cofactor_resolve,
-    liouville,
-    mu,
-    omega_sign,
+    parities,
     parity_grid,
     parity_range,
     sieve_grid,
@@ -44,7 +42,6 @@ from .ideal_arith import (
     PrimeIdeal,
     build_field,
     compute_D0,
-    divisors,
     factor_prime,
     ideal_from_point,
     ideal_lattice,

@@ -45,9 +45,6 @@ class BinaryCubicForm:
     def __repr__(self):
         return f"BinaryCubicForm({self.a}, {self.b}, {self.c}, {self.d})"
 
-    def __iter__(self):
-        return iter((self.a, self.b, self.c, self.d))
-
     def __call__(self, x: int, y: int) -> int:
         return evaluate(self, x, y)
 

@@ -44,35 +44,14 @@ class SieveCorruptionError(RuntimeError):
 # ---------------------------------------------------------------- single values
 
 
-def mu(n: int) -> int:
-    """Mobius function of |n|; n = 0 is rejected."""
-    n = _abs_nonzero(n)
-    if n == 1:
-        return 1
-    fs = factor_int(n)
-    if any(e > 1 for _, e in fs):
-        return 0
-    return -1 if len(fs) % 2 else 1
-
-
-def liouville(n: int) -> int:
-    """(-1)^(number of prime factors with multiplicity) of |n|."""
-    n = _abs_nonzero(n)
-    total = sum(e for _, e in factor_int(n)) if n > 1 else 0
-    return -1 if total % 2 else 1
-
-
-def omega_sign(n: int) -> int:
-    """(-1)^(number of distinct prime factors) of |n|."""
-    n = _abs_nonzero(n)
-    k = len(factor_int(n)) if n > 1 else 0
-    return -1 if k % 2 else 1
-
-
-def _abs_nonzero(n: int) -> int:
+def parities(n: int) -> tuple[int, int, int]:
+    """(mu, lambda, omega-sign) of |n| from one factorization; n = 0 is rejected."""
     if n == 0:
         raise ValueError("parity functions are undefined at 0")
-    return abs(n)
+    fs = factor_int(abs(n))
+    distinct = len(fs)
+    with_mult = sum(e for _, e in fs)
+    return (0 if with_mult > distinct else (-1) ** distinct, (-1) ** with_mult, (-1) ** distinct)
 
 
 def parity_range(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

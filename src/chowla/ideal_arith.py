@@ -8,22 +8,20 @@ maximal order; a Dedekind-criterion test shrinks that set, and the survivors
 are refused by every operation that would need the maximal order.
 
 Everything here is factorization-level: an ideal is its sorted list of
-(prime ideal, exponent) pairs, and all functions (norm, tau, omega, Mobius,
-radical, divisor streams, S-part splits) read off that list exactly.
+(prime ideal, exponent) pairs, and the functions on ideals (norm, tau,
+Mobius) read off that list exactly.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .cubic_form import BinaryCubicForm, ReducibleFormError, is_irreducible
 from .polymod import factor_cubic_mod_p, hensel_lift_root, poly_eval
 from .primes import factor_int, is_prime, primes_up_to
 from .region_lattice import RowForm, _extgcd
 
-_DIVISOR_CAP = 1 << 16
 _SAMPLE_BUDGET = 4_000_000
 
 
@@ -182,20 +180,8 @@ class Ideal:
     def __mul__(self, other: "Ideal") -> "Ideal":
         return Ideal.from_factors(list(self.factors) + list(other.factors))
 
-    def divide(self, other: "Ideal") -> "Ideal":
-        acc = {q: e for q, e in self.factors}
-        for q, e in other.factors:
-            acc[q] = acc.get(q, 0) - e
-            if acc[q] < 0:
-                raise ValueError("not a divisor")
-        return Ideal.from_factors(acc.items())
-
     def divides(self, other: "Ideal") -> bool:
         return all(other.valuation(q) >= e for q, e in self.factors)
-
-    def coprime(self, other: "Ideal") -> bool:
-        mine = {q for q, _ in self.factors}
-        return not any(q in mine for q, _ in other.factors)
 
     def __repr__(self) -> str:
         if not self.factors:
@@ -217,32 +203,10 @@ def tau(a: Ideal) -> int:
     return acc
 
 
-def omega(a: Ideal) -> int:
-    return len(a.factors)
-
-
-def big_omega(a: Ideal) -> int:
-    return sum(e for _, e in a.factors)
-
-
 def mu_ideal(a: Ideal) -> int:
     if any(e > 1 for _, e in a.factors):
         return 0
     return -1 if len(a.factors) % 2 else 1
-
-
-def rad(a: Ideal) -> Ideal:
-    return Ideal.from_factors((q, 1) for q, _ in a.factors)
-
-
-def divisors(a: Ideal, cap: int = _DIVISOR_CAP) -> Iterator[Ideal]:
-    """All tau(a) divisors, each exactly once."""
-    if tau(a) > cap:
-        raise ValueError(f"divisor count {tau(a)} exceeds the cap {cap}")
-    primes = [q for q, _ in a.factors]
-    ranges = [range(e + 1) for _, e in a.factors]
-    for exps in itertools.product(*ranges):
-        yield Ideal.from_factors(zip(primes, exps))
 
 
 # ------------------------------------------------------------------ points
@@ -362,7 +326,7 @@ def _lattice_from_members(members: list[tuple[int, int]], mod: int) -> RowForm:
             continue
         g, s, t = _extgcd(wy, gy)
         wx, wy = s * wx + t * gx, g
-    c = wy if wy else mod
+    c = wy
     a = 0
     for gx, gy in gens:
         rx = gx - (gy // c) * wx if gy % c == 0 else None
@@ -370,8 +334,6 @@ def _lattice_from_members(members: list[tuple[int, int]], mod: int) -> RowForm:
             raise ArithmeticError("member outside the generated row structure")
         a = math.gcd(a, rx)
     a = math.gcd(a, mod)
-    if a == 0:
-        a = mod
     form = RowForm(c, 0, a, wx % a, 0)
     if a * c * len(members) != mod * mod:
         raise ArithmeticError("rebuilt lattice index disagrees with the member count")

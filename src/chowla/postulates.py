@@ -51,9 +51,6 @@ class SequenceAF:
     _sorted_norms: Optional[list] = None
     _by_prime: Optional[dict] = None  # PrimeIdeal -> the support ideals it divides
 
-    def total(self) -> int:
-        return sum(self.support.values())
-
     def _norm_table(self):
         if self._sorted_norms is None:
             pairs = sorted((norm(a), c) for a, c in self.support.items())

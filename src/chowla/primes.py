@@ -5,6 +5,11 @@ import math
 
 import numpy as np
 
+from .cubic_form import ExactRangeError
+
+# trial division by 2, 3, 5 and the 6k+-1 wheel stops below this bound
+_WHEEL_BOUND = 70000
+
 # deterministic Miller-Rabin witness set, valid for all n < 3.3e24
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -37,42 +42,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def brent_rho(n: int) -> int:
-    """Return a nontrivial factor of composite n (Brent's cycle variant).
-
-    Deterministic: the polynomial offset walks c = 1, 2, 3, ... until a
-    factor appears, so repeated runs split n identically.
-    """
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
 def factor_int(n: int) -> list[tuple[int, int]]:
-    """Full factorization of n > 0 as sorted (prime, exponent) pairs."""
+    """Full factorization of n > 0 as sorted (prime, exponent) pairs.
+
+    Exact by trial division below _WHEEL_BOUND plus a primality test of what
+    is left; a composite remainder (n >= 70003**2) raises ExactRangeError.
+    """
     if n <= 0:
         raise ValueError("factor_int wants n > 0")
     out: dict[int, int] = {}
@@ -80,25 +55,20 @@ def factor_int(n: int) -> list[tuple[int, int]]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # wheel over 6k+-1 up to a fixed small bound, then recurse via rho
+    # wheel over 6k+-1 below a fixed bound; what is left is 1, a prime, or out of range
     d = 7
-    while d * d <= n and d < 70000:
+    while d * d <= n and d < _WHEEL_BOUND:
         for q in (d, d + 4):
             while n % q == 0:
                 out[q] = out.get(q, 0) + 1
                 n //= q
         d += 6
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        g = brent_rho(m)
-        stack.append(g)
-        stack.append(m // g)
+    if n > 1:
+        if not is_prime(n):
+            raise ExactRangeError(
+                f"factor_int: composite cofactor {n} has no prime factor below {_WHEEL_BOUND}"
+            )
+        out[n] = out.get(n, 0) + 1
     return sorted(out.items())
 
 

@@ -46,7 +46,6 @@ def brun_pure_weights(
     P: Iterable[PrimeIdeal],
     cut,
     depth: Optional[int] = None,
-    lower_gap=None,
 ) -> SieveWeights:
     """Mobius weights truncated at an even number of prime factors.
 
@@ -59,8 +58,7 @@ def brun_pure_weights(
         depth = default_depth(cut if math.isfinite(float(cut)) else 1e6)
     if depth % 2 or depth < 0:
         raise ValueError("upper-bound sieve needs an even truncation depth")
-    if lower_gap is None:
-        lower_gap = min((q.norm for q in primes), default=2) - 1
+    lower_gap = min((q.norm for q in primes), default=2) - 1
     weights: dict[Ideal, int] = {Ideal.unit(): 1}
 
     def extend(start: int, ideal: Ideal, nrm: int, size: int) -> None:
@@ -131,9 +129,6 @@ class IntegerWeights:
 
     weights: dict  # int -> int
     support_floor: object  # number: weights vanish for 1 < d <= support_floor
-
-    def weight(self, d: int) -> int:
-        return self.weights.get(d, 0)
 
     def check(self, floor) -> None:
         if self.weights.get(1, 0) != 1:
@@ -234,9 +229,8 @@ def anti_sieve_split(F: dict, x: int, alpha, yfun, W: IntegerWeights) -> AntiSie
             if aa % d:
                 continue
             a_prime = aa // d
-            # max(yfun^2, x^alpha/(a'*yfun)) < d < x^alpha*yfun/a'
-            if not Fraction(d) > floor:
-                continue
+            # max(yfun^2, x^alpha/(a'*yfun)) < d < x^alpha*yfun/a'; d > yfun^2
+            # holds already
             if not (d * a_prime * yn) ** q > xp * yd**q:
                 continue
             if not (d * a_prime * yd) ** q < xp * yn**q:

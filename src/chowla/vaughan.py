@@ -16,10 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Callable, Iterable
 
-from .ideal_arith import _DIVISOR_CAP, Ideal, PrimeIdeal, norm, tau
+from .ideal_arith import Ideal, PrimeIdeal, norm, tau
+
+_DIVISOR_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -126,13 +127,8 @@ def combine(betas: list) -> object:
 
 
 def verify_identity(a: Ideal, h: Callable[[Ideal], object], P: VaughanParams) -> bool:
-    """Does h(a) equal the seven-term combination, exactly (or to 1e-9 rel)?"""
-    lhs = h(a)
-    rhs = combine(beta_all(a, h, P))
-    if isinstance(lhs, Rational) and isinstance(rhs, Rational):
-        return lhs == rhs
-    denom = max(abs(float(lhs)), abs(float(rhs)), 1.0)
-    return abs(float(lhs) - float(rhs)) <= 1e-9 * denom
+    """Does h(a) equal the seven-term combination exactly?"""
+    return h(a) == combine(beta_all(a, h, P))
 
 
 def verify_groupings(a: Ideal, h: Callable[[Ideal], object], P: VaughanParams) -> bool:

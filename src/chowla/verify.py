@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .cubic_form import BinaryCubicForm, parse_form
-from .factor_sieve import mu as mu_int, liouville, omega_sign, parity_grid
+from .factor_sieve import parities, parity_grid
 from .ideal_arith import (
     CubicField,
     Ideal,
@@ -200,7 +200,7 @@ def suite_sieve(
     for y in range(-25, 26):
         for x in range(-25, 26):
             v = form(x, y)
-            want = (0, 0, 0) if v == 0 else (mu_int(v), liouville(v), omega_sign(v))
+            want = (0, 0, 0) if v == 0 else parities(v)
             got = tuple(int(g[y + 25, x + 25]) for g in (grid.mu, grid.lam, grid.omg))
             grid_check.record(got == want, lambda: f"(x;y)=({x};{y}) got={got} want={want}")
 

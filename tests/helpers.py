@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from chowla.ideal_arith import Ideal, PrimeIdeal, divisors, mu_ideal, norm, tau
+from chowla.ideal_arith import Ideal, PrimeIdeal, mu_ideal, norm, tau
 
 
 # ------------------------------------------------------------- int oracles
@@ -196,6 +196,30 @@ def random_ideal(
             return a
 
 
+def rad(a: Ideal) -> Ideal:
+    """The product of the distinct primes dividing a."""
+    return Ideal.from_factors((q, 1) for q, _ in a.factors)
+
+
+def divide(a: Ideal, b: Ideal) -> Ideal:
+    """a / b for b | a; ValueError otherwise."""
+    acc = dict(a.factors)
+    for q, e in b.factors:
+        acc[q] = acc.get(q, 0) - e
+        if acc[q] < 0:
+            raise ValueError("not a divisor")
+    return Ideal.from_factors(acc.items())
+
+
+def divisors(a: Ideal, cap: int = 1 << 16):
+    """All tau(a) divisors, each exactly once."""
+    if tau(a) > cap:
+        raise ValueError(f"divisor count {tau(a)} exceeds the cap {cap}")
+    primes = [q for q, _ in a.factors]
+    for exps in itertools.product(*(range(e + 1) for _, e in a.factors)):
+        yield Ideal.from_factors(zip(primes, exps))
+
+
 # ------------------------------------------------------------- window oracles
 
 
@@ -219,7 +243,7 @@ def sum_star_pairs(a: Ideal, Q, cap: int = 1 << 16):
     q_part, m = split_S(a, Q)
     for d in divisors(m, cap):
         for b_prime in divisors(d, cap):
-            yield q_part * b_prime, d.divide(b_prime)
+            yield q_part * b_prime, divide(d, b_prime)
 
 
 def beta_all_oracle(a: Ideal, h, P) -> list:

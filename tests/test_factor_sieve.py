@@ -12,9 +12,7 @@ from chowla.factor_sieve import (
     Factorization,
     SieveCorruptionError,
     cofactor_resolve,
-    liouville,
-    mu,
-    omega_sign,
+    parities,
     parity_grid,
     parity_range,
     sieve_grid,
@@ -45,16 +43,13 @@ def test_single_values_known():
         -5: (-1, -1, -1),
         -36: (0, 1, 1),
     }
-    for n, (m, l, o) in table.items():
-        assert mu(n) == m
-        assert liouville(n) == l
-        assert omega_sign(n) == o
+    for n, want in table.items():
+        assert parities(n) == want
 
 
 def test_zero_rejected():
-    for fn in (mu, liouville, omega_sign):
-        with pytest.raises(ValueError):
-            fn(0)
+    with pytest.raises(ValueError):
+        parities(0)
 
 
 def test_parity_range_against_spf_oracle():
@@ -69,9 +64,7 @@ def test_parity_range_against_spf_oracle():
 def test_parity_range_matches_singles():
     got_mu, got_lam, got_omg = parity_range(2000)
     for n in range(1, 2001):
-        assert got_mu[n] == mu(n)
-        assert got_lam[n] == liouville(n)
-        assert got_omg[n] == omega_sign(n)
+        assert (got_mu[n], got_lam[n], got_omg[n]) == parities(n)
 
 
 def test_cofactor_resolve_examples():
@@ -110,12 +103,13 @@ def test_grid_matches_trial_division():
                     assert grid.mu[iy, ix] == 0
                     continue
                 pts += 1
-                assert grid.mu[iy, ix] == mu(v)
-                assert grid.lam[iy, ix] == liouville(v)
-                assert grid.omg[iy, ix] == omega_sign(v)
-                s_mu += mu(v)
-                s_lam += liouville(v)
-                s_omg += omega_sign(v)
+                m, l, o = parities(v)
+                assert grid.mu[iy, ix] == m
+                assert grid.lam[iy, ix] == l
+                assert grid.omg[iy, ix] == o
+                s_mu += m
+                s_lam += l
+                s_omg += o
         assert grid.points == pts
         assert (grid.mu_sum, grid.lam_sum, grid.omg_sum) == (s_mu, s_lam, s_omg)
 
@@ -132,8 +126,9 @@ def test_grid_with_coset_and_coprime():
             iy, ix = y + 18, x + 18
             if ok:
                 pts += 1
-                s += mu(F2(x, y))
-                assert grid.mu[iy, ix] == mu(F2(x, y))
+                m = parities(F2(x, y))[0]
+                s += m
+                assert grid.mu[iy, ix] == m
             else:
                 assert grid.mu[iy, ix] == 0
     assert grid.points == pts

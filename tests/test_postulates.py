@@ -42,7 +42,7 @@ def primes2(K2):
 def test_build_sequence_small_box(K2, seq_small):
     seq = seq_small
     # seven primitive points in [1,3]^2, each with a distinct ideal
-    assert seq.points == 7 and seq.total() == 7
+    assert seq.points == 7
     assert sorted((norm(a), c) for a, c in seq.support.items()) == [
         (3, 1), (10, 1), (17, 1), (29, 1), (43, 1), (55, 1), (62, 1),
     ]

@@ -16,7 +16,7 @@ from chowla import (
     prime_ideals_up_to,
     sieve_value,
 )
-from chowla.ideal_arith import Ideal, mu_ideal, norm, omega
+from chowla.ideal_arith import Ideal, mu_ideal, norm
 from chowla.sieve_weights import IntegerWeights, SieveWeights
 
 from helpers import random_ideal, trial_factor
@@ -58,7 +58,7 @@ def test_brun_weights_are_truncated_mobius(pool2):
         assert all(e == 1 for _, e in d.factors)  # squarefree
         assert all(q in W.P for q, _ in d.factors)
         assert norm(d) <= 200
-        assert omega(d) <= W.truncation_level
+        assert len(d.factors) <= W.truncation_level
         assert wt == mu_ideal(d) in (-1, 1)
     # maximality: every admissible squarefree product is present
     singles = [q for q in pool2 if q.norm <= 200]
@@ -115,7 +115,8 @@ def test_buchstab_split_telescopes(pool2, pool23):
 
 def test_buchstab_window_leak_raises(pool2):
     # a lower gap above the smallest support norm makes the window leak
-    W = brun_pure_weights(pool2, 200, lower_gap=10)
+    brun = brun_pure_weights(pool2, 200)
+    W = SieveWeights(brun.weights, brun.P, 10, brun.upper_cut, brun.truncation_level)
     b = Ideal.prime(pool2[0])
     with pytest.raises(ValueError, match="leaks outside the window"):
         buchstab_split(W, b)
@@ -132,7 +133,7 @@ def test_buchstab_corrupt_unit_weight_raises():
 
 def test_integer_brun_weights_structure():
     W = integer_brun_weights(4, 60, 2)
-    assert W.weight(1) == 1 and W.support_floor == 4
+    assert W.weights[1] == 1 and W.support_floor == 4
     assert len(W.weights) == 18  # 1, fifteen primes in (4,60], 35, 55
     for d, wt in W.weights.items():
         if d == 1:
@@ -215,7 +216,7 @@ def _brute_anti_sieve(F, x, alpha, yfun, W):
         window += val
         for d in range(1, a + 1):
             if a % d == 0:
-                wt = W.weight(d)
+                wt = W.weights.get(d, 0)
                 weighted += wt * val
                 if wt and Fraction(d) > floor:
                     correction += wt * val

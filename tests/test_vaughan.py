@@ -17,10 +17,18 @@ from chowla import (
     verify_identity,
     window_flip,
 )
-from chowla.ideal_arith import Ideal, divisors, mu_ideal, norm, rad, tau
+from chowla.ideal_arith import Ideal, mu_ideal, norm, tau
 from chowla.vaughan import _windows
 
-from helpers import beta_all_oracle, groupings_oracle, random_ideal, split_S, sum_star_pairs
+from helpers import (
+    beta_all_oracle,
+    divisors,
+    groupings_oracle,
+    rad,
+    random_ideal,
+    split_S,
+    sum_star_pairs,
+)
 
 
 @pytest.fixture(scope="module")
