@@ -61,7 +61,6 @@ from .postulates import (
 )
 from .region_lattice import (
     ConvexRegion,
-    LatticeCoset,
     RowForm,
     parse_coset,
     parse_region,

@@ -92,9 +92,10 @@ def evaluate(f: BinaryCubicForm, x: int, y: int) -> int:
 
 
 def check_range(f: BinaryCubicForm, half_width: int | float) -> None:
-    """Guard: 2 * max|coeff| * (half_width + 1)^3 must stay under 2^127."""
+    """Guard: 4 * max|coeff| * (half_width + 1)^3 must stay under 2^127,
+    as |f(x, y)| <= 4 * max|coeff| * half_width^3."""
     n = int(math.ceil(abs(half_width)))
-    if 2 * f.height() * (n + 1) ** 3 >= EXACT_LIMIT:
+    if 4 * f.height() * (n + 1) ** 3 >= EXACT_LIMIT:
         raise ExactRangeError(
             f"coordinates up to {n} push form values past the exact range"
         )

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .cubic_form import BinaryCubicForm
 from .factor_sieve import parity_grids
-from .region_lattice import ConvexRegion, LatticeCoset
+from .region_lattice import ConvexRegion, RowForm
 
 __all__ = [
     "envelope",
@@ -86,7 +86,7 @@ class ExperimentConfig:
     alpha: str
     region: ConvexRegion
     N_list: Sequence[int]
-    coset: Optional[LatticeCoset] = None
+    coset: Optional[RowForm] = None
     coprime_only: bool = False
     epsilon: float = 1.0
     threads: int = 1

@@ -29,7 +29,7 @@ import numpy as np
 from .cubic_form import BinaryCubicForm, ExactRangeError, content, is_irreducible
 from .polymod import roots_mod_primes
 from .primes import factor_int, is_prime, primes_up_to
-from .region_lattice import ConvexRegion, LatticeCoset
+from .region_lattice import ConvexRegion, RowForm
 
 _INT64_GUARD = 1 << 62
 _TABLE_CELL_CAP = 4_200_000
@@ -163,7 +163,7 @@ class GridSpec:
 
     form: BinaryCubicForm
     region: ConvexRegion
-    coset: Optional[LatticeCoset]
+    coset: Optional[RowForm]
     coprime_only: bool
     xmin: int
     xmax: int
@@ -440,9 +440,8 @@ def _band_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
         mask = np.ones((ys.size, width), dtype=bool)
     else:
         mask = np.zeros((ys.size, width), dtype=bool)
-        rf = spec.coset.row_form()
         for i, y in enumerate(ys.tolist()):
-            sol = rf.row_solution(y)
+            sol = spec.coset.row_solution(y)
             if sol is not None:
                 res, mod = sol
                 mask[i, (res - spec.xmin) % mod :: mod] = True
@@ -606,7 +605,7 @@ class ParityGrid:
 def parity_grid(
     f: BinaryCubicForm,
     S: ConvexRegion,
-    L: Optional[LatticeCoset] = None,
+    L: Optional[RowForm] = None,
     coprime_only: bool = False,
     threads: int = 1,
     keep_arrays: bool = False,
@@ -618,7 +617,7 @@ def parity_grid(
 def parity_grids(
     f: BinaryCubicForm,
     regions: Sequence[ConvexRegion],
-    L: Optional[LatticeCoset] = None,
+    L: Optional[RowForm] = None,
     coprime_only: bool = False,
     threads: int = 1,
     keep_arrays: bool = False,
@@ -665,7 +664,7 @@ def parity_grids(
 def sieve_grid(
     f: BinaryCubicForm,
     S: ConvexRegion,
-    L: Optional[LatticeCoset] = None,
+    L: Optional[RowForm] = None,
     coprime_only: bool = False,
 ) -> dict[tuple[int, int], Factorization]:
     """Complete factorization of f(x, y) at every admitted grid point.

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 from .cubic_form import BinaryCubicForm, ReducibleFormError, is_irreducible
 from .polymod import factor_cubic_mod_p, hensel_lift_root, poly_eval
 from .primes import factor_int, is_prime, primes_up_to
-from .region_lattice import RowForm, _extgcd
+from .region_lattice import RowForm
 
 _SAMPLE_BUDGET = 4_000_000
 
@@ -302,7 +302,10 @@ def point_lattice(K: CubicField, q: PrimeIdeal, v: int) -> RowForm:
         for x in range(mod)
         if valuation_at_point(K, q, x, y) >= v
     ]
-    return _lattice_from_members(members, mod)
+    form = RowForm.span(members + [(mod, 0), (0, mod)])
+    if form.index * len(members) != mod * mod:
+        raise ArithmeticError("rebuilt lattice index disagrees with the member count")
+    return form
 
 
 def ideal_lattice(K: CubicField, d: Ideal) -> RowForm:
@@ -314,30 +317,6 @@ def ideal_lattice(K: CubicField, d: Ideal) -> RowForm:
             raise ArithmeticError("point lattices of one ideal cannot be disjoint")
         acc = nxt
     return acc
-
-
-def _lattice_from_members(members: list[tuple[int, int]], mod: int) -> RowForm:
-    """Sublattice of Z^2 generated by the members together with mod*Z^2."""
-    gens = members + [(mod, 0), (0, mod)]
-    # vector with minimal positive y-component via extended gcds
-    wx, wy = 0, mod
-    for gx, gy in gens:
-        if gy == 0:
-            continue
-        g, s, t = _extgcd(wy, gy)
-        wx, wy = s * wx + t * gx, g
-    c = wy
-    a = 0
-    for gx, gy in gens:
-        rx = gx - (gy // c) * wx if gy % c == 0 else None
-        if rx is None:
-            raise ArithmeticError("member outside the generated row structure")
-        a = math.gcd(a, rx)
-    a = math.gcd(a, mod)
-    form = RowForm(c, 0, a, wx % a, 0)
-    if a * c * len(members) != mod * mod:
-        raise ArithmeticError("rebuilt lattice index disagrees with the member count")
-    return form
 
 
 def _ceil_div(a: int, b: int) -> int:

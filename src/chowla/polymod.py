@@ -112,7 +112,11 @@ def _gcd_root(B: int, C: int, D: int, h, p: int):
 
 
 def _cubic_roots(D: int, C: int, B: int, p: int) -> list[int]:
-    """Distinct roots of the monic t^3 + B*t^2 + C*t + D mod an odd prime p."""
+    """Distinct roots of the monic t^3 + B*t^2 + C*t + D mod a prime p.
+
+    For p = 2, t^p - t has degree 2, so it is never 0 mod f and the
+    Cantor-Zassenhaus step, which needs p odd, is not reached.
+    """
     t3 = (-D % p, -C % p, -B % p)
     t4 = (B * D % p, (B * C - D) % p, (B * B - C) % p)
     h0, h1, h2 = _pow_linear(0, p, t3, t4, p)
@@ -142,26 +146,18 @@ def _cubic_roots(D: int, C: int, B: int, p: int) -> list[int]:
 def roots_mod_p(coeffs, p: int) -> list[int]:
     """Distinct roots in GF(p) of a polynomial of degree <= 3, sorted.
 
-    For p = 2 both residues are tried.  For odd p the polynomial is made
-    monic and solved in closed form on Python ints: a line directly, a
-    quadratic by its discriminant, a cubic through gcd(f, t^p - t) and, when
-    f splits completely, one Cantor-Zassenhaus step and the quadratic
-    formula.
+    Solved as the monic cubic of ``_cubic_roots`` on Python ints: a
+    polynomial f of degree k < 3 mod p is taken as t^(3-k) * f, and the
+    root 0 this adds is dropped unless f(0) = 0 mod p, as in
+    ``roots_mod_primes``.
     """
     f = poly_reduce(coeffs, p)
     if not f:
         raise ValueError(f"polynomial vanishes identically mod {p}")
-    if p == 2:
-        return [r for r in (0, 1) if poly_eval(f, r, 2) == 0]
+    cubic = [0] * (4 - len(f)) + f
     inv = pow(f[-1], -1, p)
-    monic = [c * inv % p for c in f[:-1]]
-    if len(monic) == 0:
-        return []
-    if len(monic) == 1:
-        return [-monic[0] % p]
-    if len(monic) == 2:
-        return _quadratic_roots(monic[1], monic[0], p)
-    return _cubic_roots(*monic, p)
+    roots = _cubic_roots(*(c * inv % p for c in cubic[:3]), p)
+    return roots[1:] if len(f) < 4 and f[0] else roots
 
 
 # Lanes hold residues below 2^31: a product of two is below 2^62, and a sum

@@ -24,7 +24,7 @@ from .ideal_arith import (
     norm,
     prime_ideals_up_to,
 )
-from .region_lattice import ConvexRegion, LatticeCoset, RowForm
+from .region_lattice import ConvexRegion, RowForm
 
 _QUARANTINE_FRACTION = 0.01
 _POSTULATE_NORM_CAP = 10_000
@@ -44,7 +44,7 @@ class SequenceAF:
     D1: int
     field: CubicField
     region: ConvexRegion
-    coset: Optional[LatticeCoset]
+    coset: Optional[RowForm]
     points: int  # primitive points with nonzero value, quarantined included
     quarantine: list  # points whose value meets an index-risk prime
 
@@ -75,7 +75,7 @@ class SequenceAF:
 def build_sequence(
     K: CubicField,
     S: ConvexRegion,
-    L: Optional[LatticeCoset] = None,
+    L: Optional[RowForm] = None,
 ) -> SequenceAF:
     """Map every primitive point of the region (and coset) to its ideal.
 
@@ -141,7 +141,7 @@ class DensityModel:
     """Exact multiplicative density on ideals, from lattice-coset indices."""
 
     field: CubicField
-    coset: Optional[LatticeCoset] = None
+    coset: Optional[RowForm] = None
     _cache: dict = field(default_factory=dict)
 
     def g(self, d: Ideal) -> Fraction:
@@ -171,7 +171,7 @@ def _inv_index(rf: Optional[RowForm]) -> Fraction:
     return Fraction(1, rf.index)
 
 
-def g_density(K: CubicField, L: Optional[LatticeCoset], d: Ideal) -> Fraction:
+def g_density(K: CubicField, L: Optional[RowForm], d: Ideal) -> Fraction:
     """Density of a prime-power-norm ideal from exact coset indices.
 
     With R the ambient coset, R_d its restriction to points d divides, and
@@ -185,7 +185,7 @@ def g_density(K: CubicField, L: Optional[LatticeCoset], d: Ideal) -> Fraction:
     (p,) = ps
     if p in K.index_bound:
         raise IndexBoundError(f"unsupported: density at index-risk prime {p}")
-    base = L.row_form() if L is not None else _FULL_ROW
+    base = L if L is not None else _FULL_ROW
     p_row = RowForm(p, 0, p, 0, 0)
     lam = ideal_lattice(K, d)
     restricted = base.intersect(lam)

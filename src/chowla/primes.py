@@ -10,26 +10,33 @@ from .cubic_form import ExactRangeError
 # trial division by 2, 3, 5 and the 6k+-1 wheel stops below this bound
 _WHEEL_BOUND = 70000
 
-# deterministic Miller-Rabin witness set, valid for all n < 3.3e24
-_MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin: the first k prime bases admit no strong
+# pseudoprime below psi_k (Sorenson and Webster, Math. Comp. 2017), so each
+# witness set is exact below its bound; _MR_LIMIT is psi_13.
+_MR_WITNESSES = (
+    (3_215_031_751, (2, 3, 5, 7)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
+_MR_LIMIT = _MR_WITNESSES[-1][0]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 0 < n < 3.3e24."""
+    """Deterministic Miller-Rabin for 0 < n < 3.3e24, witnesses picked by size."""
     if n >= _MR_LIMIT:
         raise ValueError(f"primality test out of deterministic range: {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES[-1][1]:
         if n % p == 0:
             return n == p
+    bases = next(w for bound, w in _MR_WITNESSES if n < bound)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -46,7 +53,8 @@ def factor_int(n: int) -> list[tuple[int, int]]:
     """Full factorization of n > 0 as sorted (prime, exponent) pairs.
 
     Exact by trial division below _WHEEL_BOUND plus a primality test of what
-    is left; a composite remainder (n >= 70003**2) raises ExactRangeError.
+    is left; a composite remainder (n >= 70003**2), or one past the test's
+    range, raises ExactRangeError.
     """
     if n <= 0:
         raise ValueError("factor_int wants n > 0")
@@ -64,6 +72,8 @@ def factor_int(n: int) -> list[tuple[int, int]]:
                 n //= q
         d += 6
     if n > 1:
+        if n >= _MR_LIMIT:
+            raise ExactRangeError(f"factor_int: cofactor {n} is past the primality test's range")
         if not is_prime(n):
             raise ExactRangeError(
                 f"factor_int: composite cofactor {n} has no prime factor below {_WHEEL_BOUND}"

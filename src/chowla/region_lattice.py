@@ -2,7 +2,7 @@
 
 Regions are boxes, discs, and convex polygons with rational parameters, so
 membership and row extents are exact; no floating point decides a boundary.
-A lattice coset is offset + (integer span of two basis columns).
+A lattice coset is kept in Hermite normal form, as a RowForm.
 """
 from __future__ import annotations
 
@@ -43,32 +43,31 @@ class RowForm:
         return self.a * self.c
 
     @staticmethod
-    def from_basis(u: tuple[int, int], v: tuple[int, int], offset=(0, 0)) -> "RowForm":
-        u1, u2 = u
-        v1, v2 = v
-        det = u1 * v2 - v1 * u2
-        if det == 0:
-            raise ValueError("basis vectors are linearly dependent")
-        c = math.gcd(u2, v2)
-        if c == 0:
-            raise ValueError("degenerate basis")  # unreachable with det != 0
-        # w spans the y-direction of the lattice; z generates lattice & {y=0}
-        g, alpha, beta = _extgcd(u2, v2)
-        assert g == c
-        w1 = alpha * u1 + beta * v1
-        a = abs(det) // c
-        b = w1 % a
+    def span(gens, offset=(0, 0)) -> "RowForm":
+        """Hermite normal form of offset + the lattice the generators span.
+
+        Extended gcds over the y-components give the lattice vector w with
+        the least positive y, c; the x-components left once each generator
+        is reduced by w generate the lattice's row y = 0, a*Z.
+        """
+        wx, wy = 0, 0
+        for gx, gy in gens:
+            g, s, t = _extgcd(wy, gy)
+            wx, wy = s * wx + t * gx, g
+        a = 0
+        if wy:
+            for gx, gy in gens:
+                a = math.gcd(a, gx - gy // wy * wx)
+        if a == 0:
+            raise ValueError("coset basis is singular")
         ox, oy = offset
-        y0 = oy % c
-        t_shift = (oy - y0) // c
-        x0 = (ox - t_shift * w1) % a
-        return RowForm(c=c, y0=y0, a=a, b=b, x0=x0)
+        y0 = oy % wy
+        x0 = (ox - (oy - y0) // wy * wx) % a
+        return RowForm(c=wy, y0=y0, a=a, b=wx % a, x0=x0)
 
     def contains(self, x: int, y: int) -> bool:
-        if (y - self.y0) % self.c:
-            return False
-        t = (y - self.y0) // self.c
-        return (x - self.x0 - self.b * t) % self.a == 0
+        sol = self.row_solution(y)
+        return sol is not None and (x - sol[0]) % sol[1] == 0
 
     def row_solution(self, y: int) -> Optional[tuple[int, int]]:
         """For row y: the x-residue class (residue, modulus), or None."""
@@ -129,41 +128,6 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-@dataclass(frozen=True)
-class LatticeCoset:
-    """offset + integer span of the two basis matrix columns."""
-
-    basis: tuple[tuple[int, int], tuple[int, int]]  # rows of the matrix
-    offset: tuple[int, int] = (0, 0)
-
-    def __post_init__(self):
-        if self.det == 0:
-            raise ValueError("coset basis is singular")
-
-    @property
-    def det(self) -> int:
-        (b11, b12), (b21, b22) = self.basis
-        return b11 * b22 - b12 * b21
-
-    @property
-    def index(self) -> int:
-        return abs(self.det)
-
-    def columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        (b11, b12), (b21, b22) = self.basis
-        return (b11, b21), (b12, b22)
-
-    def contains(self, x: int, y: int) -> bool:
-        (b11, b12), (b21, b22) = self.basis
-        vx, vy = x - self.offset[0], y - self.offset[1]
-        det = self.det
-        return (b22 * vx - b12 * vy) % det == 0 and (b11 * vy - b21 * vx) % det == 0
-
-    def row_form(self) -> RowForm:
-        u, v = self.columns()
-        return RowForm.from_basis(u, v, self.offset)
 
 
 @dataclass(frozen=True)
@@ -251,7 +215,7 @@ class ConvexRegion:
             lo, hi = math.ceil(x0), math.floor(x1)
         elif self.kind == "disc":
             cx, cy, r = self.data
-            q = _lcm3(cx.denominator, cy.denominator, r.denominator)
+            q = math.lcm(cx.denominator, cy.denominator, r.denominator)
             A, B, R = int(cx * q), int(cy * q), int(r * q)
             t = R * R - (q * y - B) ** 2
             if t < 0:
@@ -302,10 +266,6 @@ class ConvexRegion:
         return True
 
 
-def _lcm3(a: int, b: int, c: int) -> int:
-    return math.lcm(math.lcm(a, b), c)
-
-
 def parse_region(text: str) -> ConvexRegion:
     """Region literals: box:x0,x1,y0,y1  disc:cx,cy,r  poly:x1,y1;x2,y2;..."""
     kind, _, rest = text.partition(":")
@@ -331,7 +291,7 @@ def parse_region(text: str) -> ConvexRegion:
     raise ValueError(f"unknown region kind {kind!r}")
 
 
-def parse_coset(text: str) -> LatticeCoset:
+def parse_coset(text: str) -> RowForm:
     """Coset literal: coset:b11,b21,b12,b22;ox,oy (basis columns, then offset)."""
     kind, _, rest = text.partition(":")
     if kind.strip() != "coset":
@@ -345,4 +305,4 @@ def parse_coset(text: str) -> LatticeCoset:
         ox, oy = (int(t) for t in off.split(","))
     else:
         ox, oy = 0, 0
-    return LatticeCoset(basis=((b11, b12), (b21, b22)), offset=(ox, oy))
+    return RowForm.span([(b11, b21), (b12, b22)], (ox, oy))

@@ -71,7 +71,7 @@ def brun_pure_weights(
                 continue
             if size + 1 > depth:
                 break
-            d = ideal * Ideal.prime(q)
+            d = Ideal(ideal.factors + ((q, 1),))  # primes ascend: already canonical
             weights[d] = -weights[ideal]
             extend(i + 1, d, nn, size + 1)
 

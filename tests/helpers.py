@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from chowla.ideal_arith import Ideal, PrimeIdeal, mu_ideal, norm, tau
+from chowla.region_lattice import RowForm
 
 
 # ------------------------------------------------------------- int oracles
@@ -114,6 +116,44 @@ def grid_mu_sums(form, N: int) -> tuple[int, int]:
     mu[origin] = 0
     points = vals.size - 1
     return points, int(mu.astype(np.int64).sum())
+
+
+# ------------------------------------------------------------ coset oracle
+
+
+@dataclass(frozen=True)
+class LatticeCoset:
+    """offset + integer span of the two basis matrix columns; membership by
+    the adjugate, independent of the package's Hermite form."""
+
+    basis: tuple[tuple[int, int], tuple[int, int]]  # rows of the matrix
+    offset: tuple[int, int] = (0, 0)
+
+    def __post_init__(self):
+        if self.det == 0:
+            raise ValueError("coset basis is singular")
+
+    @property
+    def det(self) -> int:
+        (b11, b12), (b21, b22) = self.basis
+        return b11 * b22 - b12 * b21
+
+    @property
+    def index(self) -> int:
+        return abs(self.det)
+
+    def columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        (b11, b12), (b21, b22) = self.basis
+        return (b11, b21), (b12, b22)
+
+    def contains(self, x: int, y: int) -> bool:
+        (b11, b12), (b21, b22) = self.basis
+        vx, vy = x - self.offset[0], y - self.offset[1]
+        det = self.det
+        return (b22 * vx - b12 * vy) % det == 0 and (b11 * vy - b21 * vx) % det == 0
+
+    def row_form(self) -> RowForm:
+        return RowForm.span(self.columns(), self.offset)
 
 
 # ------------------------------------------------------------- cubic oracles

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from chowla.cubic_form import (
+    EXACT_LIMIT,
     BinaryCubicForm,
     ExactRangeError,
     ZeroFormError,
@@ -42,6 +43,25 @@ def test_evaluate_range_guard():
     f = BinaryCubicForm(1, 0, 0, 2)
     with pytest.raises(ExactRangeError):
         evaluate(f, 1 << 45, 0)
+
+
+def test_range_guard_bounds_every_value():
+    """|f(x, y)| reaches 4 * H(f) * n^3 at half-width n, so the guard counts
+    4 * H(f) * (n + 1)^3 against 2^127."""
+    f = BinaryCubicForm(1, 1, 1, 1)
+    with pytest.raises(ExactRangeError):
+        evaluate(f, 2**42 - 2, 2**42 - 2)  # 4 * n^3 needs 128 bits
+    # m: the largest with 4 * m^3 < 2^127; the guard passes n = m - 1 only
+    lo, hi = 1, 1 << 42
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if 4 * mid**3 < EXACT_LIMIT else (lo, mid)
+    m = lo
+    n = m - 1
+    for s in (1, -1):
+        assert abs(evaluate(f, s * n, s * n)) == 4 * n**3 < EXACT_LIMIT
+        with pytest.raises(ExactRangeError):
+            evaluate(f, s * m, s * m)
 
 
 def test_zero_form_rejected():

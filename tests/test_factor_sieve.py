@@ -17,9 +17,9 @@ from chowla.factor_sieve import (
     parity_range,
     sieve_grid,
 )
-from chowla.region_lattice import ConvexRegion, LatticeCoset, parse_region
+from chowla.region_lattice import ConvexRegion, parse_region
 
-from helpers import simple_primes, spf_parity_tables, trial_factor
+from helpers import LatticeCoset, simple_primes, spf_parity_tables, trial_factor
 
 F2 = BinaryCubicForm(1, 0, 0, 2)
 
@@ -116,7 +116,7 @@ def test_grid_matches_trial_division():
 
 def test_grid_with_coset_and_coprime():
     region = ConvexRegion.box(-18, 18, -18, 18)
-    L = LatticeCoset(basis=((5, 1), (0, 1)), offset=(0, 0))  # x = y mod 5
+    L = LatticeCoset(basis=((5, 1), (0, 1)), offset=(0, 0)).row_form()  # x = y mod 5
     grid = parity_grid(F2, region, L, coprime_only=True, keep_arrays=True)
     pts = 0
     s = 0
@@ -154,7 +154,7 @@ def test_grid_many_bands_match_one_band(monkeypatch):
     """A grid split into several bands, threaded or not, equals the one-band grid."""
     f = BinaryCubicForm(6, -5, 3, 7)  # 2 | a and 3 | a: rows p | y struck wholesale
     region = ConvexRegion.box(-30, 30, -25, 35)
-    L = LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0))
+    L = LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0)).row_form()
     one = parity_grid(f, region, L, coprime_only=True, keep_arrays=True)
     assert len(factor_sieve._bands(one.spec)) == 1
     monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 12 * one.spec.width)
@@ -173,7 +173,7 @@ def test_bands_keep_sums_only_unless_asked(monkeypatch):
     and sums equal those of the kept grids."""
     f = BinaryCubicForm(6, -5, 3, 7)
     region = ConvexRegion.disc(Fraction(1, 2), 0, 21)
-    L = LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0))
+    L = LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0)).row_form()
     spec = factor_sieve._make_spec(f, region, L, True)
     monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 6 * spec.width)
     assert len(factor_sieve._bands(spec)) >= 5
@@ -316,7 +316,7 @@ GRID_SHA256 = (
      "c653db6e9989096401f1bdb60e3eca53726ec23fc44bfd159313639ad79f94e6"),
     # a non-monic box, on a coset and coprime points only
     (BinaryCubicForm(3, -1, 2, -5), ConvexRegion.box(-80, 80, -80, 80),
-     LatticeCoset(basis=((3, 0), (1, 1)), offset=(1, 2)), True,
+     LatticeCoset(basis=((3, 0), (1, 1)), offset=(1, 2)).row_form(), True,
      "a5e993ffe5f3edae59ee17eca24b8704a9d8ce3d66793450d24474004c8e3b2b"),
     # a strip 7 wide with 2 * 7 * 1009 | a
     (BinaryCubicForm(2 * 7 * 1009, 1, -3, 2), ConvexRegion.box(-3, 3, -150, 150), None, False,
@@ -409,9 +409,10 @@ def test_grid_paths_vs_trial_division_random():
                     continue
                 admitted[(x, y)] = f(x, y)
         where = f"case {case}: {f.coeffs} {S} {L} coprime={coprime}"
+        rf = L.row_form() if L is not None else None
 
         for threads in (1, 3):
-            grid = parity_grid(f, S, L, coprime_only=coprime, threads=threads, keep_arrays=True)
+            grid = parity_grid(f, S, rf, coprime_only=coprime, threads=threads, keep_arrays=True)
             spec = grid.spec
             want = np.zeros((3, spec.height, spec.width), dtype=np.int8)
             for (x, y), v in admitted.items():
@@ -424,7 +425,7 @@ def test_grid_paths_vs_trial_division_random():
             sums = want.sum(axis=(1, 2), dtype=np.int64).tolist()
             assert [grid.mu_sum, grid.lam_sum, grid.omg_sum] == sums, where
 
-        table = sieve_grid(f, S, L, coprime_only=coprime)
+        table = sieve_grid(f, S, rf, coprime_only=coprime)
         assert set(table) == set(admitted), where
         for pt, v in admitted.items():
             assert table[pt].value == v, where
@@ -487,9 +488,10 @@ def test_lattice_walk_vs_row_scan():
 
 def _check_grid(f, S, L=None, coprime=False):
     """parity_grid arrays and sieve_grid factors against trial division."""
-    grid = parity_grid(f, S, L, coprime_only=coprime, keep_arrays=True)
+    rf = L.row_form() if L is not None else None
+    grid = parity_grid(f, S, rf, coprime_only=coprime, keep_arrays=True)
     spec = grid.spec
-    table = sieve_grid(f, S, L, coprime_only=coprime)
+    table = sieve_grid(f, S, rf, coprime_only=coprime)
     points = 0
     for y in range(spec.ymin, spec.ymax + 1):
         for x in range(spec.xmin, spec.xmax + 1):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,10 +10,11 @@ from chowla.cubic_form import BinaryCubicForm
 from chowla.factor_sieve import parity_grid
 from chowla.region_lattice import (
     ConvexRegion,
-    LatticeCoset,
+    RowForm,
     parse_coset,
     parse_region,
 )
+from helpers import LatticeCoset
 
 F2 = BinaryCubicForm(1, 0, 0, 2)  # vanishes at the origin only
 
@@ -47,6 +49,57 @@ def test_row_form_from_basis_membership():
         for _ in range(25):
             x, y = rng.randint(-40, 40), rng.randint(-40, 40)
             assert rf.contains(x, y) == L.contains(x, y)
+
+
+def _span_residues(gens, D: int) -> set:
+    """The subgroup of (Z/D)^2 the generators span, by closure."""
+    sub = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for gx, gy in gens:
+            pt = ((x + gx) % D, (y + gy) % D)
+            if pt not in sub:
+                sub.add(pt)
+                frontier.append(pt)
+    return sub
+
+
+def test_row_form_span_against_enumeration():
+    """RowForm.span of 2 to 5 generators (zero y-components, repeats,
+    negative entries) against membership read off the subgroup they span
+    modulo D, the gcd of their 2x2 minors, which is the index of the span."""
+    rng = random.Random(41)
+    checked = 0
+    while checked < 150:
+        gens = [(rng.randint(-6, 6), rng.choice((0, 0, rng.randint(-6, 6))))
+                for _ in range(rng.randint(2, 5))]
+        if rng.random() < 0.3:
+            gens[-1] = gens[0]  # a repeat
+            rng.shuffle(gens)
+        D = 0
+        for (ux, uy), (vx, vy) in itertools.combinations(gens, 2):
+            D = math.gcd(D, ux * vy - uy * vx)
+        if D == 0:
+            with pytest.raises(ValueError, match="coset basis is singular"):
+                RowForm.span(gens)
+            continue
+        offset = (rng.randint(-9, 9), rng.randint(-9, 9))
+        rf = RowForm.span(gens, offset)
+        sub = _span_residues(gens, D)
+        assert rf.index == D and len(sub) * D == D * D
+        for y in range(-D, D):
+            for x in range(-D, D):
+                want = ((x - offset[0]) % D, (y - offset[1]) % D) in sub
+                assert rf.contains(x, y) == want, (gens, offset, x, y)
+        checked += 1
+
+
+def test_row_form_span_rejects_rank_deficient_lists():
+    for gens in ([], [(0, 0)], [(3, 0), (-5, 0), (3, 0)], [(0, 2), (0, -4)],
+                 [(2, 4), (-1, -2), (3, 6), (0, 0)], [(1, -3), (1, -3)]):
+        with pytest.raises(ValueError, match="coset basis is singular"):
+            RowForm.span(gens, (1, 1))
 
 
 def test_row_form_index_counts_residues():
@@ -191,7 +244,7 @@ def test_grid_points_vs_brute():
                         continue
                     if S.contains(x, y) and (L is None or L.contains(x, y)):
                         brute += 1
-            assert parity_grid(F2, S, L).points == brute
+            assert parity_grid(F2, S, L.row_form() if L is not None else None).points == brute
 
 
 def _admitted(grid) -> set[tuple[int, int]]:
@@ -213,7 +266,7 @@ def test_grid_coprime_points():
     assert got == want and grid.points == len(want)
     assert (0, 0) not in got
     assert (0, 1) in got and (-1, 0) in got
-    L = LatticeCoset(basis=((2, 0), (0, 1)), offset=(1, 0))  # odd x
+    L = LatticeCoset(basis=((2, 0), (0, 1)), offset=(1, 0)).row_form()  # odd x
     grid_l = parity_grid(F2, S, L, coprime_only=True, keep_arrays=True)
     assert _admitted(grid_l) == {p for p in want if p[0] % 2 == 1}
 
@@ -239,5 +292,7 @@ def test_parse_coset():
     assert L2.index == 4
     with pytest.raises(ValueError):
         parse_coset("coset:1,2,3;0,0")
+    with pytest.raises(ValueError, match="coset basis is singular"):
+        parse_coset("coset:2,4,1,2;0,0")
     with pytest.raises(ValueError):
         parse_coset("box:-1,1,-1,1")
