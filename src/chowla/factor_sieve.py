@@ -8,14 +8,24 @@ up to sqrt(max value), so a leftover cofactor is 1 or a single prime:
 * table path: complete factorizations per point, the struck primes with
   their exponents plus the leftover prime, checked against the value.
 
+A grid is stored in the coordinates of its lattice coset, in Hermite form
+{y = y0 (mod c), x = x0 + b*(y - y0)/c (mod a)}: only the rows
+y = y0 (mod c) are kept, and row y keeps the columns x = x_y + a*i, x_y its
+first coset column in the box.  So a coset of index a*c is evaluated,
+struck and reduced on 1/(a*c) of the box; no coset is a = c = 1, the box
+itself.  A column past the box gets no value.
+
 Striking works line by line: for p not dividing y, the zero locus of f mod p
-is a union of lines x = r*y with f(r, 1) = 0 mod p; rows p | y are covered
-wholesale when p divides the leading coefficient and through the (p|x, p|y)
-sublattice otherwise.  The three strike families are disjoint by construction.
-Primes below the grid width strike their lines row by row.  A prime at or
-past the width meets each row at most once, so its lines are walked instead:
-every lattice {x = r*y mod p} goes from hit to hit along a reduced basis, all
-(p, r) pairs of a band in step.
+is a union of lines x = r*y with f(r, 1) = 0 mod p, which in a stored row is
+i = a^-1*(r*y - x_y) (mod p), or the whole row or none when p | a; rows
+p | y are covered wholesale when p divides the leading coefficient and
+through the (p|x, p|y) sublattice otherwise.  The three strike families are
+disjoint by construction.  Primes below the stored width, and those
+dividing a, strike their lines row by row.  A prime at or past the width
+meets each row at most once, so its lines are walked instead: the coset
+points of a line x = r*y (mod p) form the lattice x = X + B*t (mod a*p)
+over the stored rows t, and each goes from hit to hit through the box's
+columns along a reduced basis, all (p, r) pairs of a band in step.
 """
 from __future__ import annotations
 
@@ -27,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cubic_form import BinaryCubicForm, ExactRangeError, content, is_irreducible
-from .polymod import roots_mod_primes
+from .polymod import _lane_pow, roots_mod_primes
 from .primes import factor_int, is_prime, primes_up_to
 from .region_lattice import ConvexRegion, RowForm
 
@@ -156,10 +166,21 @@ def cofactor_resolve(m: int, Z: int) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------- grid plumbing
 
+# the lattice coset of a grid with none: every point of Z^2
+_WHOLE_PLANE = RowForm(c=1, y0=0, a=1, b=0, x0=0)
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Bounding box and masks source (form, region, coset, coprime flag) for one sieve run."""
+    """Bounding box and masks source (form, region, coset, coprime flag) for one sieve run.
+
+    The grid is stored in coset coordinates: stored row j is the row
+    y = y_first + c*j of the coset RowForm(c, y0, a, b, x0), and its column
+    i is x = x_j + a*i, for x_j the row's first coset column at or past
+    xmin.  Stored rows are stored_width = ceil(width / a) columns wide; a
+    column past xmax holds no value.  Without a coset, a = c = 1 and the
+    stored grid is the box.
+    """
 
     form: BinaryCubicForm
     region: ConvexRegion
@@ -186,6 +207,27 @@ class GridSpec:
     def half_width(self) -> int:
         """Smallest m with the box inside [-m, m]^2."""
         return max(abs(self.xmin), abs(self.xmax), abs(self.ymin), abs(self.ymax))
+
+    @property
+    def lattice(self) -> RowForm:
+        return self.coset or _WHOLE_PLANE
+
+    @property
+    def y_first(self) -> int:
+        return self.ymin + (self.lattice.y0 - self.ymin) % self.lattice.c
+
+    @property
+    def stored_rows(self) -> int:
+        return max(0, (self.ymax - self.y_first) // self.lattice.c + 1)
+
+    @property
+    def stored_width(self) -> int:
+        return -(-self.width // self.lattice.a)
+
+    @property
+    def period(self) -> int:
+        """a / gcd(a, b): stored rows j and j + period start at one column."""
+        return self.lattice.a // math.gcd(self.lattice.a, self.lattice.b)
 
 
 def _make_spec(f, S, L, coprime_only) -> Optional[GridSpec]:
@@ -216,8 +258,39 @@ def _root_table(f: BinaryCubicForm, primes: np.ndarray) -> tuple[np.ndarray, np.
 
 
 @dataclass(frozen=True)
+class _Band:
+    """A run of stored rows: row k lies at y[k], and its column i at
+    x = xs[k] + a*i for i < ns[k]; the columns from ns[k] on lie past xmax.
+    Flat index k*width + i; base[k] = k*width."""
+
+    y: np.ndarray
+    xs: np.ndarray
+    ns: np.ndarray
+    base: np.ndarray
+    width: int
+
+    @property
+    def rows(self) -> int:
+        return self.y.size
+
+    def select(self, keep: np.ndarray) -> "_Band":
+        """The rows keep picks (a mask or indices), with their flat bases."""
+        return _Band(self.y[keep], self.xs[keep], self.ns[keep], self.base[keep], self.width)
+
+
+def _band(spec: GridSpec, j0: int, j1: int) -> _Band:
+    """The stored rows j0 .. j1 of the grid."""
+    L = spec.lattice
+    y = spec.y_first + L.c * np.arange(j0, j1 + 1, dtype=np.int64)
+    xs = spec.xmin + (L.x0 + L.b * ((y - L.y0) // L.c) - spec.xmin) % L.a
+    ns = np.maximum((spec.xmax - xs) // L.a + 1, 0)
+    width = spec.stored_width
+    return _Band(y, xs, ns, np.arange(y.size, dtype=np.int64) * width, width)
+
+
+@dataclass(frozen=True)
 class _Lattices:
-    """The lattices {x = r*y (mod p)} of pairs (p, r) with p >= width.
+    """The lattices {x = r*t (mod m)} of pairs (m, r), m >= width.
 
     Each is given by a basis u = (alpha, beta), v = (gamma, delta) with
     -width < alpha <= 0 <= gamma, gamma - alpha >= width and beta > 0, as
@@ -228,7 +301,7 @@ class _Lattices:
     basis, alpha = 0 with gamma = width, always steps by u.
     """
 
-    p: np.ndarray
+    m: np.ndarray
     r: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
@@ -236,26 +309,24 @@ class _Lattices:
     delta: np.ndarray
 
 
-def _reduced_lattices(p: np.ndarray, r: np.ndarray, width: int) -> _Lattices:
-    """Reduce the basis (-p, 0), (r, 1) of every pair by continued fractions.
+def _reduced_lattices(m: np.ndarray, r: np.ndarray, width: int) -> _Lattices:
+    """Reduce the basis (-m, 0), (r, 1) of every pair by continued fractions.
 
-    While both |alpha| and gamma reach the width, each is taken fully modulo
-    the other in turn.  Once one is below the width, the other is cut just
-    below it, which leaves gamma - alpha >= width.  O(log p) rounds, every
-    round over all pairs still running.
+    Every column of a lattice lies in one class mod g = gcd(r, m); when
+    g >= width, r = 0 or a strip one column wide among them, the strip
+    holds one of its columns at most, met every m/g rows: the basis stays
+    vertical.  Otherwise, while both |alpha| and gamma reach the width, each
+    is taken fully modulo the other in turn.  Once one is below the width,
+    the other is cut just below it, which leaves gamma - alpha >= width.
+    O(log m) rounds, every round over all pairs still running.
     """
-    n = p.size
-    alpha = np.zeros(n, dtype=np.int64)
-    beta = np.ones(n, dtype=np.int64)
-    gamma = np.full(n, width, dtype=np.int64)
-    delta = np.ones(n, dtype=np.int64)
-    if width == 1:
-        # one column: the lattice meets it every p rows (every row if r = 0)
-        beta[r != 0] = p[r != 0]
-        return _Lattices(p, r, alpha, beta, gamma, delta)
-    # r = 0 keeps the vertical basis u = (0, 1)
-    ids = np.nonzero(r)[0]
-    a0, b0 = -p[ids], np.zeros(ids.size, dtype=np.int64)
+    g = np.gcd(r, m)
+    alpha = np.zeros(m.size, dtype=np.int64)
+    beta = m // g
+    gamma = np.full(m.size, width, dtype=np.int64)
+    delta = np.ones(m.size, dtype=np.int64)
+    ids = np.nonzero(g < width)[0]
+    a0, b0 = -m[ids], np.zeros(ids.size, dtype=np.int64)
     a1, b1 = r[ids], np.ones(ids.size, dtype=np.int64)
 
     def settle(done, a0, b0, a1, b1):
@@ -279,7 +350,7 @@ def _reduced_lattices(p: np.ndarray, r: np.ndarray, width: int) -> _Lattices:
         k = a1 // -a0
         a1 += k * a0
         b1 += k * b0
-    return _Lattices(p, r, alpha, beta, gamma, delta)
+    return _Lattices(m, r, alpha, beta, gamma, delta)
 
 
 def _first_hits(a: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -306,165 +377,199 @@ def _first_hits(a: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     return t
 
 
-def _lattice_hits(lat: _Lattices, xmin: int, width: int, y0: int, y1: int):
-    """Walk every lattice through the columns xmin .. xmin + width - 1 and the
-    rows y0 .. y1, all pairs in step.
+def _lattice_hits(lat: _Lattices, p: np.ndarray, start: np.ndarray, width: int, rows: int,
+                  y0: int, dy: int, stride: int, a: int):
+    """Walk every lattice {x = start + r*t (mod m)}, lat reduced for width,
+    through the columns x = 0 .. width - 1 and the rows t = 0 .. rows - 1,
+    all lanes in step; row t lies at y = y0 + dy*t, and p is each lane's
+    prime.
 
-    Yields, step by step, the flat indices (y - y0) * width + (x - xmin) of
-    the points x = r*y (mod p) with p not dividing y, and the prime of each.
-    A pair meets a row at most once, so a step repeats a cell only across
-    distinct primes.
+    Yields, step by step, the flat indices t*stride + x // a of the hits in
+    rows p does not divide y, and the prime of each.  A lane meets a row at
+    most once, so a step repeats a cell only across distinct primes.
     """
-    p, r = lat.p, lat.r
-    # the pair's lattice point in row y0 lies c columns into the strip
-    c = (r * y0 - xmin) % p
-    t = np.zeros(p.size, dtype=np.int64)
-    late = c >= width
-    t[late & (r == 0)] = y1 - y0 + 1  # a vertical lattice misses the strip
-    far = np.nonzero(late & (r != 0))[0]
-    t[far] = _first_hits(r[far], p[far], p[far] - c[far], p[far] - c[far] + width - 1)
-    on = np.nonzero(t <= y1 - y0)[0]
+    m, r = lat.m, lat.r
+    t = np.zeros(m.size, dtype=np.int64)
+    far = np.nonzero(start >= width)[0]
+    # every point of a lane is start (mod g); count the columns in units of g
+    g = np.gcd(r[far], m[far])
+    rest = start[far] % g
+    cols = (width - 1 - rest) // g + 1
+    t[far[cols <= 0]] = rows  # no column of the strip is start (mod g)
+    far, g, rest, cols = far[cols > 0], g[cols > 0], rest[cols > 0], cols[cols > 0]
+    mg, c = m[far] // g, (start[far] - rest) // g
+    t[far] = _first_hits(r[far] // g, mg, mg - c, mg - c + cols - 1)
+    on = np.nonzero(t < rows)[0]
     p, t = p[on], t[on]
-    i = (c[on] + r[on] * t) % p
-    y = y0 + t
+    x = (start[on] + r[on] * t) % m[on]
     alpha, beta, gamma, delta = lat.alpha[on], lat.beta[on], lat.gamma[on], lat.delta[on]
     by_u, by_v = width - gamma, -alpha
     while p.size:
-        off = y % p != 0  # rows p | y belong to the other two families
-        yield ((y - y0) * width + i)[off], p[off]
-        u = i >= by_u
-        v = i < by_v
-        i += alpha * u + gamma * v
-        y += beta * u + delta * v
-        live = y <= y1
+        off = (y0 + dy * t) % p != 0  # rows p | y belong to the other two families
+        yield (t * stride + (x // a if a > 1 else x))[off], p[off]
+        u = x >= by_u
+        v = x < by_v
+        x += alpha * u + gamma * v
+        t += beta * u + delta * v
+        live = t < rows
         if not live.all():
-            p, i, y = p[live], i[live], y[live]
+            p, x, t = p[live], x[live], t[live]
             alpha, beta, gamma, delta = alpha[live], beta[live], gamma[live], delta[live]
             by_u, by_v = by_u[live], by_v[live]
 
 
-def _divisor_rows(spec: GridSpec, primes: np.ndarray, lead: np.ndarray, y0: int, y1: int):
-    """Flat band indices, and the prime of each, of the cells in rows p | y for
-    primes p >= width: the whole row when p | a, else the one column p | x
-    if the strip holds it."""
-    width = spec.width
-    first_col = -(-spec.xmin // primes) * primes
-    keep = lead | (first_col <= spec.xmax)
-    first = -(-y0 // primes)
-    count = np.where(keep, np.maximum(y1 // primes - first + 1, 0), 0)
-    which = np.repeat(np.arange(primes.size), count)
-    step = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count)
-    q = primes[which]
-    rows = (first[which] + step) * q - y0
-    whole = lead[which]
-    cols = np.arange(width, dtype=np.int64)
-    idx = np.concatenate([
-        (rows[whole][:, None] * width + cols[None, :]).ravel(),
-        rows[~whole] * width + (first_col[which][~whole] - spec.xmin),
-    ])
-    return idx, np.concatenate([np.repeat(q[whole], width), q[~whole]])
+def _line_hits(offs: np.ndarray, row_base: np.ndarray, widths: np.ndarray, p: int) -> np.ndarray:
+    """Flat indices of the columns i = offs[k] (mod p), i < widths[k], of
+    each selected row k; p = 1 takes the whole row."""
+    counts = (widths - offs + p - 1) // p
+    kmax = int(counts.max()) if counts.size else 0
+    lattice = offs[:, None] + p * np.arange(kmax, dtype=np.int64)[None, :]
+    return (row_base[:, None] + lattice)[lattice < widths[:, None]]
+
+
+def _whole_rows(rows: _Band) -> np.ndarray:
+    """Flat indices of every cell of the rows."""
+    return _line_hits(np.zeros(rows.rows, dtype=np.int64), rows.base, rows.ns, 1)
+
+
+def _congruent_cells(rows: _Band, t, p: int, ainv: Optional[int]) -> np.ndarray:
+    """Flat indices of the cells x = t (mod p) of the rows, t one per row or
+    one for all.  ainv is a^-1 mod p, which puts them every p columns from
+    i = ainv*(t - xs) (mod p); when p | a (ainv None) a row holds all of
+    its cells or none."""
+    if ainv is None:
+        return _whole_rows(rows.select((t - rows.xs) % p == 0))
+    return _line_hits((t - rows.xs) * ainv % p, rows.base, rows.ns, p)
+
+
+def _divisor_rows(table: "_StrikeTable", band: _Band):
+    """Flat band indices, and the prime of each, of the cells in rows p | y
+    for the walked primes p: the whole row when p divides f's lead, else
+    the one column p | x if the row holds it."""
+    p = table.primes
+    # band row k lies at y = y[0] + c*k: p | y every p rows from
+    # k = -y[0]/c (mod p), or, when p | c, on every row or on none
+    by_c = table.cinv == 0
+    first = np.where(by_c, 0, (-band.y[0]) % p * table.cinv % p)
+    step = np.where(by_c, 1, p)
+    count = np.maximum((band.rows - 1 - first) // step + 1, 0)
+    count[by_c & (band.y[0] % p != 0)] = 0
+    which = np.repeat(np.arange(p.size), count)
+    k = first[which] + step[which] * (np.arange(which.size) - np.repeat(np.cumsum(count) - count, count))
+    q = p[which]
+    whole = table.lead[which]
+    lead_rows, rows, q1 = band.select(k[whole]), band.select(k[~whole]), q[~whole]
+    col = (-rows.xs) % q1 * table.ainv[which][~whole] % q1
+    on = col < rows.ns
+    return (
+        np.concatenate([_whole_rows(lead_rows), (rows.base + col)[on]]),
+        np.concatenate([np.repeat(q[whole], lead_rows.ns), q1[on]]),
+    )
+
+
+def _walk(spec: GridSpec, table: "_StrikeTable", band: _Band):
+    """The walked primes' hits in the band.
+
+    Stored row t of the band lies at y = y[0] + c*t, and its coset columns
+    are x = xs[t] (mod a); with x = r*y (mod p) that is x = X + B*t
+    (mod a*p), the lattice of (a*p, B) the table reduced for the box width,
+    from X = xs[0] + a*(a^-1*(r*y[0] - xs[0]) mod p) in row 0.  A hit at
+    box column x lies in stored column (x - xmin) // a."""
+    p = table.lattices.m // spec.lattice.a  # each pair's prime
+    y0, xs = int(band.y[0]), int(band.xs[0])
+    start = xs - spec.xmin + spec.lattice.a * ((table.roots * (y0 % p) - xs) % p * table.root_ainv % p)
+    yield from _lattice_hits(
+        table.lattices, p, start, spec.width, band.rows, y0, spec.lattice.c, band.width, spec.lattice.a
+    )
 
 
 @dataclass(frozen=True)
 class _StrikeTable:
-    """Every prime up to depth, the isqrt of the grid's value bound, split at
-    the grid width; a leftover cofactor is then 1 or one prime.
+    """Every prime up to depth, the isqrt of the grid's value bound; a
+    leftover cofactor is then 1 or one prime.
 
-    small: (p, roots, p | a) per prime p < width, struck row by row;
-    primes, lead: the primes p >= width and whether p | a;
-    lattices: their (p, r) pairs, walked.
+    small: (p, roots, p | f's lead, a^-1 mod p or None when p | a) per
+    prime struck row by row: those below the stored width, and those
+    dividing the coset's a;
+    primes, lead, ainv, cinv: the other primes, whether each divides f's
+    lead, a^-1 and c^-1 mod each (cinv 0 when p | c);
+    roots, root_ainv, lattices: their (p, r) pairs, r a root, with a^-1 mod
+    p, and the lattices coset & {x = r*y (mod p)} they take from stored row
+    to stored row, walked.
     """
 
     depth: int
     small: list
     primes: np.ndarray
     lead: np.ndarray
+    ainv: np.ndarray
+    cinv: np.ndarray
+    roots: np.ndarray
+    root_ainv: np.ndarray
     lattices: _Lattices
+
+
+def _inverses(x: int, primes: np.ndarray) -> np.ndarray:
+    """x^-1 mod each prime, 0 where it divides x."""
+    if x == 1 or not primes.size:
+        return np.ones_like(primes)
+    return np.where(x % primes == 0, 0, _lane_pow(np.full_like(primes, x), primes - 2, primes))
 
 
 def _strike_table(spec: GridSpec) -> _StrikeTable:
     depth = math.isqrt(_value_bound(spec))
     primes = primes_up_to(depth)
     pair_p, pair_r = _root_table(spec.form, primes)
-    width = spec.width
-    a = spec.form.a
+    L, width, lead = spec.lattice, spec.stored_width, spec.form.a
+    by_row = (primes < width) | (L.a % primes == 0)
     small = []
-    for p in primes[primes < width].tolist():
+    for p in primes[by_row].tolist():
         lo, hi = np.searchsorted(pair_p, [p, p + 1])
-        small.append((p, pair_r[lo:hi].tolist(), a % p == 0))
-    large = primes[primes >= width].astype(np.int64)
-    cut = np.searchsorted(pair_p, width)
+        small.append((p, pair_r[lo:hi].tolist(), lead % p == 0, pow(L.a, -1, p) if L.a % p else None))
+    large = primes[~by_row]
+    ainv = _inverses(L.a, large)
+    walked = (pair_p >= width) & (L.a % pair_p != 0)
+    p, r = pair_p[walked], pair_r[walked]
+    r_ainv = ainv[np.searchsorted(large, p)]
+    # the step in x from stored row to stored row: b (mod a), r*c (mod p)
+    step = L.b + L.a * ((r * (L.c % p) - L.b) % p * r_ainv % p)
     return _StrikeTable(
-        depth, small, large, a % large == 0, _reduced_lattices(pair_p[cut:], pair_r[cut:], width)
+        depth, small, large, lead % large == 0, ainv, _inverses(L.c, large),
+        r, r_ainv, _reduced_lattices(L.a * p, step, spec.width),
     )
 
 
-def _line_hits(offs: np.ndarray, row_base: np.ndarray, width: int, p: int) -> np.ndarray:
-    """Flat indices of x = offs[i] (mod p) within each selected row."""
-    counts = (width - offs + p - 1) // p
-    kmax = int(counts.max()) if counts.size else 0
-    lattice = offs[:, None] + p * np.arange(kmax, dtype=np.int64)[None, :]
-    return (row_base[:, None] + lattice)[lattice < width]
-
-
-def _strike_sets(spec: GridSpec, entry, ys: np.ndarray, row_base: np.ndarray):
+def _strike_sets(entry, band: _Band):
     """Disjoint flat-index families covering p | f(x, y) in this band, for
-    one prime p below the width; yielded one at a time, so that no two are
-    held at once."""
-    p, roots, p_div_lead = entry
-    width = spec.width
-    off_rows = ys % p != 0  # rows with p not dividing y
+    one prime p struck row by row; yielded one at a time, so that no two
+    are held at once."""
+    p, roots, p_div_lead, ainv = entry
+    off = band.y % p != 0  # rows with p not dividing y
     if roots:
-        rb = row_base[off_rows]
-        yr = ys[off_rows]
+        rows = band.select(off)
         for r in roots:
-            offs = (r * yr - spec.xmin) % p
-            yield _line_hits(offs, rb, width, p)
-    div_rows = row_base[~off_rows]
-    if div_rows.size:
-        if p_div_lead:
-            yield (div_rows[:, None] + np.arange(width, dtype=np.int64)[None, :]).ravel()
-        else:
-            offs = np.full(div_rows.size, (-spec.xmin) % p, dtype=np.int64)
-            yield _line_hits(offs, div_rows, width, p)
+            yield _congruent_cells(rows, r * rows.y, p, ainv)
+    rows = band.select(~off)
+    if rows.rows:
+        yield _whole_rows(rows) if p_div_lead else _congruent_cells(rows, 0, p, ainv)
 
 
-def _band_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
-    """Coset & coprimality mask for the band rows, over the grid's full width.
-
-    The region is left to the reductions, and the origin to the callers,
-    which drop every zero of f; for an irreducible form that is the origin.
-    """
-    width = spec.width
-    if spec.coset is None:
-        mask = np.ones((ys.size, width), dtype=bool)
-    else:
-        mask = np.zeros((ys.size, width), dtype=bool)
-        for i, y in enumerate(ys.tolist()):
-            sol = spec.coset.row_solution(y)
-            if sol is not None:
-                res, mod = sol
-                mask[i, (res - spec.xmin) % mod :: mod] = True
-    if spec.coprime_only:
-        mask &= _coprime_mask(spec, ys)
-    return mask
-
-
-def _row_extents(spec: GridSpec, regions, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns lo..hi of the grid that each region holds in each band row,
-    as two (regions, rows) arrays; a row a region misses has hi = lo - 1.
+def _row_extents(spec: GridSpec, regions, band: _Band) -> tuple[np.ndarray, np.ndarray]:
+    """Stored columns lo..hi that each region holds in each band row, as
+    two (regions, rows) arrays; a row a region misses has hi = lo - 1.
 
     Every region must lie in the grid's bounding box.
     """
-    lo = np.zeros((len(regions), ys.size), dtype=np.int64)
-    hi = np.full((len(regions), ys.size), -1, dtype=np.int64)
+    xlo = np.tile(band.xs, (len(regions), 1))
+    xhi = xlo - 1
     for k, S in enumerate(regions):
         ylo, yhi = S.y_range()
-        for i in np.nonzero((ys >= ylo) & (ys <= yhi))[0].tolist():
-            ext = S.row_extent(int(ys[i]))
+        for i in np.nonzero((band.y >= ylo) & (band.y <= yhi))[0].tolist():
+            ext = S.row_extent(int(band.y[i]))
             if ext is not None:
-                lo[k, i], hi[k, i] = ext[0] - spec.xmin, ext[1] - spec.xmin
-    return lo, hi
+                xlo[k, i], xhi[k, i] = ext
+    a = spec.lattice.a
+    return -((band.xs - xlo) // a), (xhi - band.xs) // a
 
 
 def _inside(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
@@ -473,113 +578,133 @@ def _inside(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
     return (cols >= lo[:, None]) & (cols <= hi[:, None])
 
 
-def _coprime_mask(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
-    """gcd(x, y) = 1 mask by striking shared prime divisors; exact."""
-    width = spec.width
-    mask = np.ones((ys.size, width), dtype=bool)
-    for p in primes_up_to(spec.half_width):
-        p = int(p)
-        rows = np.nonzero(ys % p == 0)[0]
-        if not rows.size:
-            continue
-        cols = np.arange((-spec.xmin) % p, width, p, dtype=np.int64)
-        if cols.size:
-            mask[rows[:, None], cols[None, :]] = False
+def _coprime_mask(spec: GridSpec, band: _Band) -> np.ndarray:
+    """gcd(x, y) = 1 mask over the band's cells by striking shared prime
+    divisors; exact."""
+    a = spec.lattice.a
+    mask = np.ones(band.rows * band.width, dtype=bool)
+    for p in primes_up_to(spec.half_width).tolist():
+        rows = band.select(band.y % p == 0)
+        if rows.rows:
+            mask[_congruent_cells(rows, 0, p, pow(a, -1, p) if a % p else None)] = False
     return mask
 
 
-def _band_values(spec: GridSpec, ys: np.ndarray) -> np.ndarray:
+def _band_values(spec: GridSpec, band: _Band) -> np.ndarray:
+    """f at the band's cells, class by class of its rows mod spec.period,
+    which share their columns; the cells past xmax are left 0 and never
+    evaluated, since the value guard covers the box only."""
     a, b, c, d = spec.form.coeffs
-    X = np.arange(spec.xmin, spec.xmax + 1, dtype=np.int64)
-    Y = ys[:, None]
-    V = (a * X**3)[None, :] + (b * X**2)[None, :] * Y + (c * X)[None, :] * Y**2 + d * Y**3
+    V = None
+    for k0 in range(min(spec.period, band.rows)):
+        rows, n = slice(k0, None, spec.period), int(band.ns[k0])
+        X = band.xs[k0] + spec.lattice.a * np.arange(n, dtype=np.int64)
+        Y = band.y[rows, None]
+        T = (a * X**3)[None, :] + (b * X**2)[None, :] * Y + (c * X)[None, :] * Y**2
+        if V is None:
+            # taken once the first temporaries are freed, so that it reuses
+            # their pages instead of faulting in fresh ones
+            V = np.empty((band.rows, band.width), dtype=np.int64)
+        np.add(T, d * Y**3, out=V[rows, :n])
+        V[rows, n:] = 0
     return V
 
 
-def _strike_band(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, cof: np.ndarray, visit) -> None:
+def _strike_band(spec: GridSpec, table: _StrikeTable, band: _Band, cof: np.ndarray, visit) -> None:
     """Divide every table prime out of the band's cofactors.
 
     Calls visit(idx, p, exps) for each strike set, cut to the flat indices
     p really divides, with the exponent of p at each.  p is one prime, or
-    one prime per index where the primes past the width strike together.
-    A callback rather than a generator, so no strike set outlives its own
+    one prime per index where the walked primes strike together.  A
+    callback rather than a generator, so no strike set outlives its own
     visit.
     """
-    row_base = np.arange(ys.size, dtype=np.int64) * spec.width
     for entry in table.small:
         p = entry[0]
-        for idx in _strike_sets(spec, entry, ys, row_base):
+        for idx in _strike_sets(entry, band):
             idx = idx[cof[idx] % p == 0]
             if idx.size:
                 visit(idx, p, _divide_out(cof, idx, p))
-    y0, y1 = int(ys[0]), int(ys[-1])
-    idx, q = _divisor_rows(spec, table.primes, table.lead, y0, y1)
-    on = cof[idx] % q == 0  # drops the origin, whose value is 0
+    idx, q = _divisor_rows(table, band)
+    on = cof[idx] % q == 0  # drops the origin and the cells past xmax
     if on.any():
         visit(idx[on], q[on], _divide_out(cof, idx[on], q[on]))
-    for idx, q in _lattice_hits(table.lattices, spec.xmin, spec.width, y0, y1):
+    for idx, q in _walk(spec, table, band):
         if idx.size:
             visit(idx, q, _divide_out(cof, idx, q))
 
 
-def _sieve_band(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, visit):
+def _sieve_band(spec: GridSpec, table: _StrikeTable, band: _Band, visit):
     """Strike every table prime out of the band's values, calling visit as
     _strike_band does.
 
-    Returns the flat values, their leftover cofactors and the _band_mask;
-    zero values get cofactor 1 and are left out of the mask.
+    Returns the flat values, their leftover cofactors and the mask of the
+    cells to count: the nonzero values, coprime ones only if the spec says
+    so; the region is left to the reductions.  Zero values, the origin (the
+    one zero of an irreducible form) and the cells past xmax, get cofactor 1.
     """
-    V = _band_values(spec, ys).ravel()
+    V = _band_values(spec, band).ravel()
     zero = V == 0
     cof = np.abs(V)
     cof[zero] = 1
-    _strike_band(spec, table, ys, cof, visit)
-    return V, cof, _band_mask(spec, ys).ravel() & ~zero
+    _strike_band(spec, table, band, cof, visit)
+    mask = ~zero
+    if spec.coprime_only:
+        mask &= _coprime_mask(spec, band)
+    return V, cof, mask
 
 
-def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, ys: np.ndarray, regions, keep: bool):
+def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, band: _Band, regions, keep: bool):
     """Sieve one band and reduce it per region.
 
     Returns a (regions, 4) int64 array of (points, mu_sum, lam_sum,
-    omg_sum), and the last region's masked mu/lam/omg grids if keep, else
-    None.  A prefix sum along x of each channel makes every region cost two
-    reads per band row, not one per cell.
+    omg_sum), and the last region's masked mu/lam/omg band grids if keep,
+    else None.  A prefix sum along each stored row of each channel makes
+    every region cost two reads per band row, not one per cell.
     """
-    counts = _ParityCounts(ys.size * spec.width)
-    cof, mask = _sieve_band(spec, table, ys, counts.add)[1:]
-    shape = (ys.size, spec.width)
+    counts = _ParityCounts(band.rows * band.width)
+    cof, mask = _sieve_band(spec, table, band, counts.add)[1:]
+    shape = (band.rows, band.width)
     mask, *channels = (ch.reshape(shape) for ch in (mask, *counts.channels(cof)))
     del cof, counts  # the reduction's prefix sums take their place
-    lo, hi = _row_extents(spec, regions, ys)
-    rows = np.arange(ys.size)
-    prefix = np.zeros((ys.size, spec.width + 1), dtype=np.int32)
+    lo, hi = _row_extents(spec, regions, band)
+    rows = np.arange(band.rows)
+    prefix = np.zeros((band.rows, band.width + 1), dtype=np.int32)
     sums = np.empty((len(regions), 4), dtype=np.int64)
     for k, ch in enumerate((mask, *channels)):
         np.cumsum(ch * mask, axis=1, dtype=np.int32, out=prefix[:, 1:])
         sums[:, k] = (prefix[rows, hi + 1] - prefix[rows, lo]).sum(axis=1)
     if not keep:
         return sums, None
-    mask &= _inside(lo[-1], hi[-1], spec.width)
+    mask &= _inside(lo[-1], hi[-1], band.width)
     return sums, [np.where(mask, ch, np.int8(0)) for ch in channels]
 
 
-def _bands(spec: GridSpec):
-    """Row bands of near-equal height, each at most _BAND_CELLS cells or
-    one row.
+def _scatter(spec: GridSpec, band: _Band, grid: np.ndarray, box: np.ndarray) -> None:
+    """Write a band's (rows, stored width) grid into the (height, width)
+    box array, class by class of its rows mod spec.period: each is a
+    strided slice of the box."""
+    a, dy = spec.lattice.a, spec.lattice.c * spec.period
+    for k0 in range(min(spec.period, band.rows)):
+        part = grid[k0 :: spec.period, : band.ns[k0]]
+        if part.size:
+            y, x = int(band.y[k0]) - spec.ymin, int(band.xs[k0]) - spec.xmin
+            box[y : y + dy * (part.shape[0] - 1) + 1 : dy, x : x + a * (part.shape[1] - 1) + 1 : a] = part
+
+
+def _bands(spec: GridSpec) -> list[_Band]:
+    """Bands of stored rows of near-equal height, each at most _BAND_CELLS
+    stored cells or one row.
 
     The count comes from the cell budget alone, not from the thread count:
     each band repeats the per-prime loop, so extra bands cost more than
     threads win back.
     """
-    rows_per = max(1, min(spec.height, _BAND_CELLS // max(spec.width, 1)))
-    n_bands = (spec.height + rows_per - 1) // rows_per
-    rows_per = (spec.height + n_bands - 1) // n_bands
-    out = []
-    y = spec.ymin
-    while y <= spec.ymax:
-        out.append(np.arange(y, min(y + rows_per - 1, spec.ymax) + 1, dtype=np.int64))
-        y += rows_per
-    return out
+    rows = spec.stored_rows
+    rows_per = max(1, min(rows, _BAND_CELLS // spec.stored_width))
+    n_bands = -(-rows // rows_per)
+    rows_per = -(-rows // n_bands) if n_bands else 1
+    return [_band(spec, j, min(j + rows_per, rows) - 1) for j in range(0, rows, rows_per)]
 
 
 @dataclass
@@ -642,19 +767,22 @@ def parity_grids(
     table = _strike_table(spec)
     bands = _bands(spec)
 
-    def work(ys):
-        return _sieve_band_parity(spec, table, ys, regions, keep_arrays)
+    def work(band):
+        return _sieve_band_parity(spec, table, band, regions, keep_arrays)
 
     if threads > 1 and len(bands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, bands))
     else:
-        results = [work(ys) for ys in bands]
-    totals = sum(r[0] for r in results)
+        results = [work(band) for band in bands]
+    totals = sum((r[0] for r in results), np.zeros((len(regions), 4), dtype=np.int64))
     grids = [ParityGrid(s, *map(int, t)) for s, t in zip(specs, totals)]
     if keep_arrays:
         last = grids[-1]
-        last.mu, last.lam, last.omg = (np.vstack(a) for a in zip(*(r[1] for r in results)))
+        last.mu, last.lam, last.omg = (np.zeros((spec.height, spec.width), dtype=np.int8) for _ in range(3))
+        for band, (_, kept) in zip(bands, results):
+            for box, grid in zip((last.mu, last.lam, last.omg), kept):
+                _scatter(spec, band, grid, box)
     return grids
 
 
@@ -667,7 +795,8 @@ def sieve_grid(
     L: Optional[RowForm] = None,
     coprime_only: bool = False,
 ) -> dict[tuple[int, int], Factorization]:
-    """Complete factorization of f(x, y) at every admitted grid point.
+    """Complete factorization of f(x, y) at every admitted grid point, in
+    row-major order: y, then x.
 
     Every prime up to the square root of the value bound is struck, as on
     the parity path, so each leftover cofactor is one prime or 1.  The
@@ -679,18 +808,20 @@ def sieve_grid(
         return {}
     if spec.cells > _TABLE_CELL_CAP:
         raise ExactRangeError(f"factor table of {spec.cells} cells is past the supported size")
+    if not spec.stored_rows:
+        return {}
     table = _strike_table(spec)
-    ys = np.arange(spec.ymin, spec.ymax + 1, dtype=np.int64)
-    width = spec.width
+    band = _band(spec, 0, spec.stored_rows - 1)
     stripes: list[tuple[np.ndarray, object, np.ndarray]] = []
-    V, cof, mask = _sieve_band(spec, table, ys, lambda idx, p, exps: stripes.append((idx, p, exps)))
-    lo, hi = _row_extents(spec, [S], ys)
-    mask &= _inside(lo[0], hi[0], width).ravel()
+    V, cof, mask = _sieve_band(spec, table, band, lambda idx, p, exps: stripes.append((idx, p, exps)))
+    lo, hi = _row_extents(spec, [S], band)
+    mask &= _inside(lo[0], hi[0], band.width).ravel()
     factors: dict[int, list[tuple[int, int]]] = {}
     for idx, p, vals in stripes:
         for i, q, v in zip(idx.tolist(), np.broadcast_to(p, idx.shape).tolist(), vals.tolist()):
             if mask[i]:
                 factors.setdefault(i, []).append((q, v))
+    xs, ys, a = band.xs.tolist(), band.y.tolist(), spec.lattice.a
     out: dict[tuple[int, int], Factorization] = {}
     for i in np.nonzero(mask)[0].tolist():
         value = int(V[i])
@@ -706,7 +837,6 @@ def sieve_grid(
         )
         if fz.rebuild() != value:
             raise SieveCorruptionError(f"factor table mismatch at flat index {i}")
-        x = spec.xmin + i % width
-        y = spec.ymin + i // width
-        out[(x, y)] = fz
+        row, col = divmod(i, band.width)
+        out[(xs[row] + a * col, ys[row])] = fz
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .cubic_form import parse_rational
@@ -206,18 +207,28 @@ class ConvexRegion:
             lo, hi = min(xs), max(xs)
         return math.ceil(lo), math.floor(hi)
 
+    @cached_property
+    def _row_data(self) -> tuple[int, ...]:
+        """Integers that decide a row of a box or a disc exactly: a box's
+        (xlo, xhi, ylo, yhi), its integer bounds; a disc's (q, A, B, R*R)
+        for the common denominator q of its center (A/q, B/q) and radius
+        R/q.  Computed once, on first use; polygons have none."""
+        if self.kind == "box":
+            x0, x1, y0, y1 = self.data
+            return math.ceil(x0), math.floor(x1), math.ceil(y0), math.floor(y1)
+        cx, cy, r = self.data
+        q = math.lcm(cx.denominator, cy.denominator, r.denominator)
+        return q, int(cx * q), int(cy * q), int(r * q) ** 2
+
     def row_extent(self, y: int) -> Optional[tuple[int, int]]:
         """Integer x-range [xlo, xhi] of the row, or None if empty. Exact."""
         if self.kind == "box":
-            x0, x1, y0, y1 = self.data
-            if not y0 <= y <= y1:
+            lo, hi, ylo, yhi = self._row_data
+            if not ylo <= y <= yhi:
                 return None
-            lo, hi = math.ceil(x0), math.floor(x1)
         elif self.kind == "disc":
-            cx, cy, r = self.data
-            q = math.lcm(cx.denominator, cy.denominator, r.denominator)
-            A, B, R = int(cx * q), int(cy * q), int(r * q)
-            t = R * R - (q * y - B) ** 2
+            q, A, B, RR = self._row_data
+            t = RR - (q * y - B) ** 2
             if t < 0:
                 return None
             s = math.isqrt(t)

@@ -157,7 +157,7 @@ def test_grid_many_bands_match_one_band(monkeypatch):
     L = LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0)).row_form()
     one = parity_grid(f, region, L, coprime_only=True, keep_arrays=True)
     assert len(factor_sieve._bands(one.spec)) == 1
-    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 12 * one.spec.width)
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 12 * one.spec.stored_width)
     assert len(factor_sieve._bands(one.spec)) >= 4
     for threads in (1, 3):
         many = parity_grid(f, region, L, coprime_only=True, threads=threads, keep_arrays=True)
@@ -175,7 +175,7 @@ def test_bands_keep_sums_only_unless_asked(monkeypatch):
     region = ConvexRegion.disc(Fraction(1, 2), 0, 21)
     L = LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0)).row_form()
     spec = factor_sieve._make_spec(f, region, L, True)
-    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 6 * spec.width)
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 6 * spec.stored_width)
     assert len(factor_sieve._bands(spec)) >= 5
     for threads in (1, 2):
         kept = parity_grid(f, region, L, coprime_only=True, threads=threads, keep_arrays=True)
@@ -389,6 +389,43 @@ def _oracle_channels(n: int) -> tuple[int, int, int]:
     return (0 if big > k else (-1) ** k), (-1) ** big, (-1) ** k
 
 
+def _differential(f, S, L, coprime, where, threads=(1, 3)):
+    """Both grid paths against trial division over [-17, 17]^2, with coset
+    membership from the basis-matrix oracle; the int8 grids, the sums and
+    the factor table, which lists its points y first, then x."""
+    admitted = {}
+    for y in range(-17, 18):
+        for x in range(-17, 18):
+            if L is not None and not L.contains(x, y):
+                continue
+            if (x, y) == (0, 0) or not S.contains(x, y):
+                continue
+            if coprime and math.gcd(x, y) != 1:
+                continue
+            admitted[(x, y)] = f(x, y)
+    rf = L.row_form() if L is not None else None
+
+    for t in threads:
+        grid = parity_grid(f, S, rf, coprime_only=coprime, threads=t, keep_arrays=True)
+        spec = grid.spec
+        want = np.zeros((3, spec.height, spec.width), dtype=np.int8)
+        for (x, y), v in admitted.items():
+            assert spec.xmin <= x <= spec.xmax and spec.ymin <= y <= spec.ymax, where
+            want[:, y - spec.ymin, x - spec.xmin] = _oracle_channels(v)
+        assert grid.points == len(admitted), where
+        assert np.array_equal(grid.mu, want[0]), where
+        assert np.array_equal(grid.lam, want[1]), where
+        assert np.array_equal(grid.omg, want[2]), where
+        sums = want.sum(axis=(1, 2), dtype=np.int64).tolist()
+        assert [grid.mu_sum, grid.lam_sum, grid.omg_sum] == sums, where
+
+    table = sieve_grid(f, S, rf, coprime_only=coprime)
+    assert list(table) == sorted(admitted, key=lambda pt: (pt[1], pt[0])), where
+    for pt, v in admitted.items():
+        assert table[pt].value == v, where
+        assert list(table[pt].factors) == trial_factor(v), where
+
+
 def test_grid_paths_vs_trial_division_random():
     """Seeded differential check of the strike engine over random inputs."""
     rng = random.Random(2005)
@@ -398,38 +435,30 @@ def test_grid_paths_vs_trial_division_random():
         S = _random_region(rng, kinds[case % len(kinds)])
         L = _random_coset(rng) if case % 3 else None
         coprime = case % 2 == 1
-        admitted = {}
-        for y in range(-17, 18):
-            for x in range(-17, 18):
-                if (x, y) == (0, 0) or not S.contains(x, y):
-                    continue
-                if L is not None and not L.contains(x, y):
-                    continue
-                if coprime and math.gcd(x, y) != 1:
-                    continue
-                admitted[(x, y)] = f(x, y)
+        _differential(f, S, L, coprime, f"case {case}: {f.coeffs} {S} {L} coprime={coprime}")
+
+
+def _wide_coset(rng: random.Random) -> LatticeCoset:
+    """Basis entries in [-40, 40], so the index reaches 3200: the coset's
+    steps reach past the grid width and past the smallest walked primes."""
+    while True:
+        rows = tuple(tuple(rng.randint(-40, 40) for _ in range(2)) for _ in range(2))
+        if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]:
+            return LatticeCoset(basis=rows, offset=(rng.randint(-50, 50), rng.randint(-50, 50)))
+
+
+def test_grid_paths_on_wide_cosets():
+    """The coset layout against trial division and the coset oracle, on
+    cosets whose rows hold few points, one or none."""
+    rng = random.Random(1554)
+    kinds = ("box", "disc", "triangle", "kite")
+    for case in range(300):
+        f = _random_form(rng, LEADS[case % len(LEADS)])
+        S = _random_region(rng, kinds[case % len(kinds)])
+        L = _wide_coset(rng)
+        coprime = case % 2 == 1
         where = f"case {case}: {f.coeffs} {S} {L} coprime={coprime}"
-        rf = L.row_form() if L is not None else None
-
-        for threads in (1, 3):
-            grid = parity_grid(f, S, rf, coprime_only=coprime, threads=threads, keep_arrays=True)
-            spec = grid.spec
-            want = np.zeros((3, spec.height, spec.width), dtype=np.int8)
-            for (x, y), v in admitted.items():
-                assert spec.xmin <= x <= spec.xmax and spec.ymin <= y <= spec.ymax, where
-                want[:, y - spec.ymin, x - spec.xmin] = _oracle_channels(v)
-            assert grid.points == len(admitted), where
-            assert np.array_equal(grid.mu, want[0]), where
-            assert np.array_equal(grid.lam, want[1]), where
-            assert np.array_equal(grid.omg, want[2]), where
-            sums = want.sum(axis=(1, 2), dtype=np.int64).tolist()
-            assert [grid.mu_sum, grid.lam_sum, grid.omg_sum] == sums, where
-
-        table = sieve_grid(f, S, rf, coprime_only=coprime)
-        assert set(table) == set(admitted), where
-        for pt, v in admitted.items():
-            assert table[pt].value == v, where
-            assert list(table[pt].factors) == trial_factor(v), where
+        _differential(f, S, L, coprime, where, threads=(1, 3) if case % 10 == 0 else (1,))
 
 
 # ------------------------------------------------------------- lattice walk
@@ -440,8 +469,9 @@ def _walked(pairs, xmin: int, width: int, y0: int, y1: int) -> list[tuple[int, i
     p = np.array([q for q, _ in pairs], dtype=np.int64)
     r = np.array([r for _, r in pairs], dtype=np.int64)
     lat = factor_sieve._reduced_lattices(p, r, width)
+    start = (r * y0 - xmin) % p  # the pair's column in row y0
     hits = []
-    for idx, q in factor_sieve._lattice_hits(lat, xmin, width, y0, y1):
+    for idx, q in factor_sieve._lattice_hits(lat, p, start, width, y1 - y0 + 1, y0, 1, width, 1):
         hits += zip(idx.tolist(), q.tolist())
     return hits
 
@@ -551,3 +581,86 @@ def test_prime_dividing_lead_and_row_exact_edge(monkeypatch):
     monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 4 * 7)
     _check_grid(f, S)
     _check_grid(f, S, LatticeCoset(basis=((2, 0), (1, 1)), offset=(1, 0)), coprime=True)
+
+
+# ------------------------------------------------------------- coset layout
+
+
+def _layout(f, S, basis, offset):
+    """The coset and the grid spec of (f, S) cut to it."""
+    L = LatticeCoset(basis=basis, offset=offset)
+    return L, factor_sieve._make_spec(f, S, L.row_form(), False)
+
+
+def test_coset_rows_two_apart_and_sheared():
+    """c > 1 and b != 0: every other row is stored, and its first column
+    moves from row to row."""
+    L, spec = _layout(BinaryCubicForm(3, -1, 2, -5), ConvexRegion.box(-40, 45, -35, 38), ((3, 1), (0, 2)), (1, 1))
+    rf = spec.lattice
+    assert rf.c == 2 and rf.b != 0 and spec.period == 3
+    _check_grid(spec.form, spec.region, L)
+    _check_grid(spec.form, spec.region, L, coprime=True)
+
+
+def test_primes_dividing_the_coset_step():
+    """a = 3 * 41 on a box 401 wide: the stored width is 4, so 3 | a is
+    struck row by row below it and 41 | a past it; each strikes a row whole
+    or not at all."""
+    L, spec = _layout(BinaryCubicForm(2, 3, -1, 7), ConvexRegion.box(-200, 200, -30, 30), ((123, 5), (0, 1)), (7, 0))
+    assert spec.lattice.a == 123 and spec.stored_width == 4
+    assert 41 <= math.isqrt(factor_sieve._value_bound(spec))
+    _check_grid(spec.form, spec.region, L)
+    _check_grid(spec.form, spec.region, L, coprime=True)
+
+
+def test_stored_width_one_with_empty_rows():
+    """A column one wide cut to odd x + y: one stored column, and every
+    other row holds no coset point."""
+    L, spec = _layout(F2, ConvexRegion.box(5, 5, -80, 80), ((2, 1), (0, 1)), (0, 0))
+    band = factor_sieve._bands(spec)[0]
+    assert spec.stored_width == 1 and (band.ns == 0).any() and (band.ns == 1).any()
+    _check_grid(F2, spec.region, L)
+
+
+def test_coset_step_wider_than_the_box():
+    """a = 50 on a box 21 wide: a row holds one coset point or none, and the
+    rows run through 50 classes of first columns."""
+    L, spec = _layout(BinaryCubicForm(1, 2, -1, 111), ConvexRegion.box(-10, 10, -60, 60), ((50, 7), (0, 1)), (3, 0))
+    assert spec.lattice.a > spec.width and spec.period == 50
+    _check_grid(spec.form, spec.region, L)
+    _check_grid(spec.form, spec.region, L, coprime=True)
+
+
+def test_coset_bands_start_in_every_row_class(monkeypatch):
+    """Bands of 5 stored rows start in every class of rows mod 3, at 1 and 3
+    threads, and equal the one-band grid and trial division."""
+    f = BinaryCubicForm(6, -5, 3, 7)
+    L, spec = _layout(f, ConvexRegion.box(-30, 30, -25, 35), ((3, 1), (0, 2)), (1, 0))
+    one = _check_grid(f, spec.region, L, coprime=True)
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 5 * spec.stored_width)
+    bands = factor_sieve._bands(spec)
+    assert len(bands) >= 6 and spec.period == 3
+    for threads in (1, 3):
+        many = parity_grid(f, spec.region, spec.coset, coprime_only=True, threads=threads, keep_arrays=True)
+        assert (many.points, many.mu_sum, many.lam_sum, many.omg_sum) == (
+            one.points, one.mu_sum, one.lam_sum, one.omg_sum)
+        assert np.array_equal(many.mu, one.mu) and np.array_equal(many.lam, one.lam)
+        assert np.array_equal(many.omg, one.omg)
+
+
+def test_coset_schedule_through_parity_grids():
+    """A schedule read off one sieve of a sheared coset equals each region
+    sieved alone, and the brute-force count and sums."""
+    f = BinaryCubicForm(3, -1, 2, -5)
+    L = LatticeCoset(basis=((3, 1), (0, 2)), offset=(1, 1))
+    regions = [ConvexRegion.disc(Fraction(1, 2), 0, 1).scale(N) for N in (4, 9, 17)]
+    grids = factor_sieve.parity_grids(f, regions, L.row_form(), coprime_only=True, threads=2)
+    for S, grid in zip(regions, grids):
+        alone = parity_grid(f, S, L.row_form(), coprime_only=True)
+        want = [0, 0, 0, 0]
+        for y in range(-17, 18):
+            for x in range(-9, 27):  # the disc of center (N/2, 0) and radius N = 17
+                if (x, y) != (0, 0) and S.contains(x, y) and L.contains(x, y) and math.gcd(x, y) == 1:
+                    want = [w + c for w, c in zip(want, (1, *_oracle_channels(f(x, y))))]
+        got = [grid.points, grid.mu_sum, grid.lam_sum, grid.omg_sum]
+        assert got == [alone.points, alone.mu_sum, alone.lam_sum, alone.omg_sum] == want
