@@ -42,6 +42,7 @@ from .primes import factor_int, is_prime, primes_up_to
 from .region_lattice import ConvexRegion, RowForm
 
 _INT64_GUARD = 1 << 62
+_EXACT_FACTOR = 1 << 31  # int64 holds any product of two smaller numbers
 _TABLE_CELL_CAP = 4_200_000
 _GRID_CELL_CAP = 230_000_000
 _BAND_CELLS = 8_000_000
@@ -282,7 +283,9 @@ def _band(spec: GridSpec, j0: int, j1: int) -> _Band:
     """The stored rows j0 .. j1 of the grid."""
     L = spec.lattice
     y = spec.y_first + L.c * np.arange(j0, j1 + 1, dtype=np.int64)
-    xs = spec.xmin + (L.x0 + L.b * ((y - L.y0) // L.c) - spec.xmin) % L.a
+    # x_y repeats every period rows; Python ints keep x0 + b*t exact
+    first = [spec.xmin + (L.x0 + L.b * ((v - L.y0) // L.c) - spec.xmin) % L.a for v in y[: spec.period].tolist()]
+    xs = np.resize(np.array(first, dtype=np.int64), y.size)
     ns = np.maximum((spec.xmax - xs) // L.a + 1, 0)
     width = spec.stored_width
     return _Band(y, xs, ns, np.arange(y.size, dtype=np.int64) * width, width)
@@ -361,7 +364,10 @@ def _first_hits(a: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     a - hi % a <= (m % a)*s mod a <= a - lo % a: Euclid's recursion, run
     down for all entries at once and then unwound.
     """
-    t = np.empty(a.size, dtype=np.int64)
+    if a.size and int(m.max()) >= _EXACT_FACTOR:
+        # m*t below reaches m^2: Python ints keep it exact
+        a, m, lo, hi = (v.astype(object) for v in (a, m, lo, hi))
+    t = np.empty(a.size, dtype=m.dtype)
     ids = np.arange(a.size)
     levels = []
     while ids.size:
@@ -374,7 +380,7 @@ def _first_hits(a: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
         a, m, lo, hi = m % a, a, a - hi % a, a - lo % a
     for ids, a, m, lo in reversed(levels):
         t[ids] = -(-(lo + m * t[ids]) // a)
-    return t
+    return t.astype(np.int64)
 
 
 def _lattice_hits(lat: _Lattices, p: np.ndarray, start: np.ndarray, width: int, rows: int,
@@ -401,7 +407,8 @@ def _lattice_hits(lat: _Lattices, p: np.ndarray, start: np.ndarray, width: int, 
     t[far] = _first_hits(r[far] // g, mg, mg - c, mg - c + cols - 1)
     on = np.nonzero(t < rows)[0]
     p, t = p[on], t[on]
-    x = (start[on] + r[on] * t) % m[on]
+    exact = object if m.size and int(m.max()) >= _EXACT_FACTOR else np.int64
+    x = ((start[on] + r[on].astype(exact) * t) % m[on]).astype(np.int64)
     alpha, beta, gamma, delta = lat.alpha[on], lat.beta[on], lat.gamma[on], lat.delta[on]
     by_u, by_v = width - gamma, -alpha
     while p.size:
@@ -527,6 +534,8 @@ def _strike_table(spec: GridSpec) -> _StrikeTable:
         lo, hi = np.searchsorted(pair_p, [p, p + 1])
         small.append((p, pair_r[lo:hi].tolist(), lead % p == 0, pow(L.a, -1, p) if L.a % p else None))
     large = primes[~by_row]
+    if large.size and L.a * int(large[-1]) >= _INT64_GUARD:
+        raise ExactRangeError(f"coset step {L.a} is past the exact 64-bit lattice walk")
     ainv = _inverses(L.a, large)
     walked = (pair_p >= width) & (L.a % pair_p != 0)
     p, r = pair_p[walked], pair_r[walked]

@@ -17,7 +17,7 @@ from chowla.factor_sieve import (
     parity_range,
     sieve_grid,
 )
-from chowla.region_lattice import ConvexRegion, parse_region
+from chowla.region_lattice import ConvexRegion, RowForm, parse_region
 
 from helpers import LatticeCoset, simple_primes, spf_parity_tables, trial_factor
 
@@ -664,3 +664,15 @@ def test_coset_schedule_through_parity_grids():
                     want = [w + c for w, c in zip(want, (1, *_oracle_channels(f(x, y))))]
         got = [grid.points, grid.mu_sum, grid.lam_sum, grid.omg_sum]
         assert got == [alone.points, alone.mu_sum, alone.lam_sum, alone.omg_sum] == want
+
+
+def test_coset_step_past_the_int64_products():
+    """a = 2^31 - 1: the walked lattices have moduli a*p past 2^31, whose
+    first-hit search multiplies past int64 and runs on Python ints."""
+    L, spec = _layout(F2, ConvexRegion.box(-40, 40, -40, 40), ((2**31 - 1, 1), (0, 1)), (3, 0))
+    assert spec.lattice.a * 37 >= factor_sieve._EXACT_FACTOR
+    grid = _check_grid(F2, spec.region, L)
+    assert grid.points == 78  # x = y + 3 for y = -40 .. 37
+    big = RowForm.span([(2**61, 0), (1, 1)])
+    with pytest.raises(ExactRangeError, match="coset step"):
+        parity_grid(F2, spec.region, big)
