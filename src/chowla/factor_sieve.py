@@ -284,7 +284,8 @@ def _band(spec: GridSpec, j0: int, j1: int) -> _Band:
     L = spec.lattice
     y = spec.y_first + L.c * np.arange(j0, j1 + 1, dtype=np.int64)
     # x_y repeats every period rows; Python ints keep x0 + b*t exact
-    first = [spec.xmin + (L.x0 + L.b * ((v - L.y0) // L.c) - spec.xmin) % L.a for v in y[: spec.period].tolist()]
+    first = [spec.xmin + (L.x0 + L.b * ((v - L.y0) // L.c) - spec.xmin) % L.a
+             for v in y[: spec.period].tolist()]
     xs = np.resize(np.array(first, dtype=np.int64), y.size)
     ns = np.maximum((spec.xmax - xs) // L.a + 1, 0)
     width = spec.stored_width
