@@ -39,7 +39,7 @@ import numpy as np
 from .cubic_form import BinaryCubicForm, ExactRangeError, content, is_irreducible
 from .polymod import _lane_pow, roots_mod_primes
 from .primes import factor_int, is_prime, primes_up_to
-from .region_lattice import ConvexRegion, RowForm
+from .region_lattice import WHOLE_PLANE, ConvexRegion, RowForm
 
 _INT64_GUARD = 1 << 62
 _EXACT_FACTOR = 1 << 31  # int64 holds any product of two smaller numbers
@@ -93,13 +93,18 @@ def _divide_out(cof: np.ndarray, idx: np.ndarray, p) -> np.ndarray:
 
     p is one prime, or one prime per index.  An index may repeat for
     distinct primes: ``ufunc.at`` divides such a cell once per entry.
-    Returns the exponent of p at each index (uint8: cofactors are < 2^62).
+    Returns the exponent of p at each index (uint8: cofactors are < 2^62,
+    so no exponent passes 61).  A cell p does not divide can reach the
+    quotient 0, which p divides on every pass; the pass past exponent 61
+    raises SieveCorruptionError for it instead of looping forever.
     """
     np.floor_divide.at(cof, idx, p)
     exps = np.ones(idx.size, dtype=np.uint8)
     deeper = np.nonzero(cof[idx] % p == 0)[0]
     while deeper.size:
         exps[deeper] += 1
+        if exps[deeper[0]] > 61:  # every cell of deeper has taken each pass
+            raise SieveCorruptionError("a struck cell's quotient reached 0: its prime did not divide it")
         q = p if np.ndim(p) == 0 else p[deeper]
         # idx[deeper] is gathered twice rather than held: holding it raised
         # the peak memory of the p = 2 strike
@@ -167,9 +172,6 @@ def cofactor_resolve(m: int, Z: int) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------- grid plumbing
 
-# the lattice coset of a grid with none: every point of Z^2
-_WHOLE_PLANE = RowForm(c=1, y0=0, a=1, b=0, x0=0)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -211,7 +213,7 @@ class GridSpec:
 
     @property
     def lattice(self) -> RowForm:
-        return self.coset or _WHOLE_PLANE
+        return self.coset or WHOLE_PLANE
 
     @property
     def y_first(self) -> int:

@@ -18,9 +18,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .cubic_form import BinaryCubicForm, ReducibleFormError, is_irreducible
-from .polymod import factor_cubic_mod_p, hensel_lift_root, poly_eval
+from .polymod import (
+    factor_cubic_mod_p,
+    hensel_lift_root,
+    poly_eval,
+    roots_mod_primes,
+    splitting_type,
+)
 from .primes import factor_int, is_prime, primes_up_to
-from .region_lattice import RowForm
+from .region_lattice import WHOLE_PLANE, RowForm
 
 _SAMPLE_BUDGET = 4_000_000
 
@@ -105,6 +111,18 @@ class PrimeIdeal:
         return f"P({self.p};f{self.residue_degree}e{self.ramification};t{tag})"
 
 
+def _prime_ideals(p: int, split) -> tuple[PrimeIdeal, ...]:
+    """The prime ideals above p, sorted, from the splitting type of the
+    minimal polynomial mod p: ([(root, mult), ...], rest_degree)."""
+    roots, rest = split
+    out = [PrimeIdeal(p, 1, mult, root) for root, mult in roots]
+    if rest:
+        out.append(PrimeIdeal(p, rest, 1, -1))
+    if sum(q.residue_degree * q.ramification for q in out) != 3:
+        raise ArithmeticError(f"splitting of {p} does not sum to the field degree")
+    return tuple(sorted(out))
+
+
 def factor_prime(K: CubicField, p: int) -> list[PrimeIdeal]:
     """Prime ideals above p, from the factorization of the minimal polynomial."""
     cached = K._factor_cache.get(p)
@@ -114,29 +132,23 @@ def factor_prime(K: CubicField, p: int) -> list[PrimeIdeal]:
         raise IndexBoundError(f"unsupported: {p} may divide the index")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    roots, rest = factor_cubic_mod_p(K.min_poly, p)
-    out = [PrimeIdeal(p, 1, mult, root) for root, mult in roots]
-    if rest:
-        out.append(PrimeIdeal(p, rest, 1, -1))
-    if sum(q.residue_degree * q.ramification for q in out) != 3:
-        raise ArithmeticError(f"splitting of {p} does not sum to the field degree")
-    out.sort()
-    K._factor_cache[p] = tuple(out)
-    return out
+    out = K._factor_cache[p] = _prime_ideals(p, factor_cubic_mod_p(K.min_poly, p))
+    return list(out)
 
 
 def prime_ideals_up_to(K: CubicField, B: int) -> list[PrimeIdeal]:
-    """All prime ideals of norm <= B above usable primes, sorted."""
-    out = []
-    for p in primes_up_to(B):
-        p = int(p)
-        if p in K.index_bound:
-            continue
-        for q in factor_prime(K, p):
-            if q.norm <= B:
-                out.append(q)
-    out.sort()
-    return out
+    """All prime ideals of norm <= B above usable primes, sorted.
+
+    The primes not yet in K's cache are solved by one ``roots_mod_primes``
+    call, and their prime ideals cached as ``factor_prime`` caches them.
+    """
+    primes = [p for p in primes_up_to(B).tolist() if p not in K.index_bound]
+    roots: dict[int, list[int]] = {p: [] for p in primes if p not in K._factor_cache}
+    for p, r in zip(*(a.tolist() for a in roots_mod_primes(K.min_poly, list(roots)))):
+        roots[p].append(r)
+    for p, rs in roots.items():
+        K._factor_cache[p] = _prime_ideals(p, splitting_type(K.min_poly, p, rs))
+    return sorted(q for p in primes for q in K._factor_cache[p] if q.norm <= B)
 
 
 # ------------------------------------------------------------------ ideals
@@ -220,6 +232,8 @@ def ideal_from_point(
     For each prime p dividing the (nonzero) form value, p cannot divide y
     (monic model), so exactly one degree-1 prime above p — the one whose
     root tag is x/y mod p — divides the point, with the full valuation.
+    For p not dividing the discriminant that prime is unramified, so it is
+    built directly; only p | disc reads the splitting from ``factor_prime``.
     A precomputed factorization of |f(x, y)| may be passed to skip the
     factoring step (it is still checked through the norm identity).
     """
@@ -235,6 +249,9 @@ def ideal_from_point(
         if y % p == 0:
             raise ArithmeticError("monic model cannot have p | y at a struck point")
         r = (x * pow(y, -1, p)) % p
+        if K.disc % p:
+            pairs.append((PrimeIdeal(p, 1, 1, r), e))
+            continue
         match = next(
             (q for q in factor_prime(K, p) if q.residue_degree == 1 and q.root_tag == r),
             None,
@@ -282,7 +299,7 @@ def point_lattice(K: CubicField, q: PrimeIdeal, v: int) -> RowForm:
     if v < 0:
         raise ValueError("negative order")
     if v == 0:
-        return RowForm(1, 0, 1, 0, 0)
+        return WHOLE_PLANE
     p = q.p
     if q.residue_degree == 1 and q.ramification == 1:
         r = hensel_lift_root(K.min_poly, p, q.root_tag, v)
@@ -310,7 +327,7 @@ def point_lattice(K: CubicField, q: PrimeIdeal, v: int) -> RowForm:
 
 def ideal_lattice(K: CubicField, d: Ideal) -> RowForm:
     """Intersection of the prime-power point lattices of d (a sublattice)."""
-    acc = RowForm(1, 0, 1, 0, 0)
+    acc = WHOLE_PLANE
     for q, e in d.factors:
         nxt = acc.intersect(point_lattice(K, q, e))
         if nxt is None:

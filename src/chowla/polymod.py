@@ -1,16 +1,15 @@
 """Polynomials of degree <= 3 mod a prime p: roots, splitting type, lifting.
 
-Coefficient lists are lowest-degree-first.  Roots come in two lane shapes
-with one algebra: gcd(f, t^p - t), then one Cantor-Zassenhaus step where f
-splits completely.  ``roots_mod_p`` solves one prime on Python ints, for
-the ideal layer; ``roots_mod_primes`` solves every prime of a sieve at once
-on int64 numpy lanes, one lane per prime, all lanes in step.
+Coefficient lists are lowest-degree-first.  Roots have one algorithm in one
+shape: ``roots_mod_primes`` solves every prime given at once, one numpy lane
+per prime, all lanes in step, by gcd(f, t^p - t) and then one
+Cantor-Zassenhaus step where f splits completely.  ``roots_mod_p`` is one
+lane of it.  The lanes are int64 for primes below 2^31 and Python ints past
+that.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .cubic_form import ExactRangeError
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -28,136 +27,6 @@ def poly_eval(a, x: int, p: int) -> int:
     for c in reversed(a):
         acc = (acc * x + c) % p
     return acc
-
-
-def _sqrt_mod(n: int, p: int) -> int:
-    """A square root of a nonzero quadratic residue n mod an odd prime p."""
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z a non-residue
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 1, t * t % p
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _quadratic_roots(b: int, c: int, p: int) -> list[int]:
-    """Distinct roots of t^2 + b*t + c mod an odd prime p, sorted."""
-    disc = (b * b - 4 * c) % p
-    half = (p + 1) // 2
-    if disc == 0:
-        return [-b * half % p]
-    if pow(disc, (p - 1) // 2, p) != 1:
-        return []
-    s = _sqrt_mod(disc, p)
-    return sorted(((s - b) * half % p, (-s - b) * half % p))
-
-
-def _pow_linear(delta: int, e: int, t3, t4, p: int) -> tuple[int, int, int]:
-    """(t + delta)^e mod a monic cubic f, e >= 1, as the coefficient triple
-    (c0, c1, c2) of c0 + c1*t + c2*t^2; t3 and t4 are t^3 and t^4 mod f."""
-    t30, t31, t32 = t3
-    t40, t41, t42 = t4
-    a0, a1, a2 = delta % p, 1, 0
-    for bit in bin(e)[3:]:
-        e3, e4 = 2 * a1 * a2, a2 * a2
-        a0, a1, a2 = (
-            (a0 * a0 + e3 * t30 + e4 * t40) % p,
-            (2 * a0 * a1 + e3 * t31 + e4 * t41) % p,
-            (2 * a0 * a2 + a1 * a1 + e3 * t32 + e4 * t42) % p,
-        )
-        if bit == "1":
-            a0, a1, a2 = (
-                (a2 * t30 + delta * a0) % p,
-                (a0 + a2 * t31 + delta * a1) % p,
-                (a1 + a2 * t32 + delta * a2) % p,
-            )
-    return a0, a1, a2
-
-
-def _gcd_root(B: int, C: int, D: int, h, p: int):
-    """A root of f = t^3 + B*t^2 + C*t + D read off gcd(f, h), h = (h0, h1, h2) != 0.
-
-    Returns (r, True) when h made monic divides f, with r the root of
-    f / h; otherwise gcd(f, h) = gcd(h, f mod h) is at most linear, and
-    (x, False) is returned when f vanishes at x, the root of whichever of
-    h and f mod h is linear; else None.
-    """
-    h0, h1, h2 = h
-    if h2:
-        inv = pow(h2, -1, p)
-        g1, g0 = h1 * inv % p, h0 * inv % p
-        # f mod (t^2 + g1*t + g0), using t^3 = (g1^2 - g0)*t + g1*g0 there
-        h1 = (g1 * g1 - g0 - B * g1 + C) % p
-        h0 = (g1 * g0 - B * g0 + D) % p
-        if not (h1 or h0):
-            return (g1 - B) % p, True
-    if not h1:
-        return None
-    x = -h0 * pow(h1, -1, p) % p
-    return (x, False) if (((x + B) * x + C) * x + D) % p == 0 else None
-
-
-def _cubic_roots(D: int, C: int, B: int, p: int) -> list[int]:
-    """Distinct roots of the monic t^3 + B*t^2 + C*t + D mod a prime p.
-
-    For p = 2, t^p - t has degree 2, so it is never 0 mod f and the
-    Cantor-Zassenhaus step, which needs p odd, is not reached.
-    """
-    t3 = (-D % p, -C % p, -B % p)
-    t4 = (B * D % p, (B * C - D) % p, (B * B - C) % p)
-    h0, h1, h2 = _pow_linear(0, p, t3, t4, p)
-    h = (h0, (h1 - 1) % p, h2)  # t^p - t mod f
-    if any(h):
-        # every root of f is a root of t^p - t, so the gcd holds all of them
-        found = _gcd_root(B, C, D, h, p)
-        if found is None:
-            return []
-        r, repeated = found
-        # a degree-2 gcd: two distinct roots, r the double one
-        return sorted((r, (-B - 2 * r) % p)) if repeated else [r]
-    # f divides t^p - t: three distinct roots; Cantor-Zassenhaus finds one.
-    # delta = 0 never splits a pure cubic t^3 - c: its roots differ by cube
-    # roots of unity, which are squares, so t^((p-1)/2) is one value on all three
-    for delta in range(1, p):
-        w0, w1, w2 = _pow_linear(delta, (p - 1) // 2, t3, t4, p)
-        w = ((w0 - 1) % p, w1, w2)
-        found = _gcd_root(B, C, D, w, p) if any(w) else None
-        if found is not None:
-            r = found[0]
-            e1 = (B + r) % p  # f / (t - r) = t^2 + e1*t + e0
-            return sorted([r] + _quadratic_roots(e1, (C + r * e1) % p, p))
-    raise ArithmeticError(f"equal-degree split failed mod {p}")
-
-
-def roots_mod_p(coeffs, p: int) -> list[int]:
-    """Distinct roots in GF(p) of a polynomial of degree <= 3, sorted.
-
-    Solved as the monic cubic of ``_cubic_roots`` on Python ints: a
-    polynomial f of degree k < 3 mod p is taken as t^(3-k) * f, and the
-    root 0 this adds is dropped unless f(0) = 0 mod p, as in
-    ``roots_mod_primes``.
-    """
-    f = poly_reduce(coeffs, p)
-    if not f:
-        raise ValueError(f"polynomial vanishes identically mod {p}")
-    cubic = [0] * (4 - len(f)) + f
-    inv = pow(f[-1], -1, p)
-    roots = _cubic_roots(*(c * inv % p for c in cubic[:3]), p)
-    return roots[1:] if len(f) < 4 and f[0] else roots
 
 
 # Lanes hold residues below 2^31: a product of two is below 2^62, and a sum
@@ -209,12 +78,15 @@ def _lane_pow_t(e, B, C, D, p):
 
 
 def _lane_gcd_root(B, C, D, h0, h1, h2, p):
-    """``_gcd_root`` on lanes: (x, found, divides) per lane.
+    """A root of f = t^3 + B*t^2 + C*t + D read off gcd(f, h), h = h0 +
+    h1*t + h2*t^2: (x, found, divides) per lane.
 
-    Where found, x is a root of f = t^3 + B*t^2 + C*t + D.  Where h divides
-    f (divides), x is the root of f / h, as in ``_gcd_root``.  A lane with
-    h = 0 is not found.  Each lane takes one modular inverse: the remainder
-    of f by a quadratic h is read scaled by h2^2.
+    Where h made monic divides f (divides), x is the root of f / h.
+    Otherwise gcd(f, h) = gcd(h, f mod h) is at most linear, and x is the
+    root of whichever of h and f mod h is linear, found only where f
+    vanishes at it.  A lane with h = 0 is not found.  Each lane takes one
+    modular inverse: the remainder of f by a quadratic h is read scaled by
+    h2^2.
     """
     y = h0 * h2 % p
     sq = h2 * h2 % p
@@ -285,11 +157,13 @@ def _lane_sqrt(n, p):
 def _lane_split_roots(B, C, D, p):
     """The three roots of monic cubics f that divide t^p - t, p odd.
 
-    Cantor-Zassenhaus as in ``_cubic_roots``: for delta = 1, 2, ... on the
-    lanes still open, gcd(f, (t + delta)^((p-1)/2) - 1) yields one root r,
-    read off g(u) = f(u - delta), whose roots are those of f shifted by
-    delta, as gcd(g, u^((p-1)/2) - 1); then f / (t - r) by the quadratic
-    formula.
+    Cantor-Zassenhaus: for delta = 1, 2, ... on the lanes still open,
+    gcd(f, (t + delta)^((p-1)/2) - 1) yields one root r, read off
+    g(u) = f(u - delta), whose roots are those of f shifted by delta, as
+    gcd(g, u^((p-1)/2) - 1); then f / (t - r) by the quadratic formula.
+    delta = 0 is skipped: it never splits a pure cubic t^3 - c, whose roots
+    differ by cube roots of unity, which are squares, so t^((p-1)/2) takes
+    one value on all three.
     """
     r = np.full_like(p, -1)
     todo = np.arange(p.size)
@@ -320,19 +194,23 @@ def _lane_split_roots(B, C, D, p):
 def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     """Distinct roots of a polynomial of degree <= 3 mod every prime given.
 
-    Returns (pair_p, pair_r), int64 arrays with one entry per root, in the
-    order of primes and sorted within each prime: what ``roots_mod_p`` finds
-    one prime at a time.  One lane per prime, all lanes in step, the same
-    algebra as ``_cubic_roots``.  A lane where p divides the leading
-    coefficient solves the cubic t^k * f instead and drops the root 0 it
-    added unless f(0) = 0 mod p.  Every lane is exact for p < 2^31; a larger
-    prime raises ExactRangeError.
+    Returns (pair_p, pair_r), arrays with one entry per root, in the order
+    of primes and sorted within each prime.  One lane per prime, all lanes
+    in step: the roots are those of gcd(f, t^p - t), and where f divides
+    t^p - t, one Cantor-Zassenhaus step finds one of its three roots and
+    the quadratic formula the other two.  For p = 2, t^p - t has degree 2,
+    so it is never 0 mod f, and that step, which needs p odd, is not
+    reached.  A lane where p divides the leading coefficient solves the
+    cubic t^k * f instead and drops the root 0 it added unless f(0) = 0
+    mod p.  The lanes are int64 when every prime is below 2^31 and every
+    coefficient fits int64; otherwise they hold Python ints (object
+    dtype), exact at any size.
     """
-    p = np.asarray(primes, dtype=np.int64)
+    p = np.asarray(primes)
+    wide = p.size and (int(p.max()) >= _LANE_LIMIT or any(abs(c) >> 63 for c in coeffs))
+    p = p.astype(object if wide else np.int64)
     if not p.size:
-        return p.copy(), p.copy()
-    if int(p.max()) >= _LANE_LIMIT:
-        raise ExactRangeError(f"prime {int(p.max())} is past the exact int64 root lanes")
+        return p, p.copy()
     f = [np.remainder(c, p) for c in coeffs]
     f += [np.zeros_like(p)] * (4 - len(f))
     added = (f[3] == 0) & (f[0] != 0)
@@ -365,25 +243,36 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(p, keep.sum(axis=1)), table[keep]
 
 
+def roots_mod_p(coeffs, p: int) -> list[int]:
+    """Distinct roots in GF(p) of a polynomial of degree <= 3, sorted: one
+    lane of ``roots_mod_primes``."""
+    return roots_mod_primes([c % p for c in coeffs], [p])[1].tolist()
+
+
 def _derivative(coeffs) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def factor_cubic_mod_p(coeffs, p: int) -> tuple[list[tuple[int, int]], int]:
-    """Splitting type of a cubic mod p, read off its distinct roots.
+def splitting_type(coeffs, p: int, roots) -> tuple[list[tuple[int, int]], int]:
+    """Splitting type of a cubic that stays cubic mod p, read off its
+    distinct roots mod p, sorted.
 
     Returns ([(root, mult), ...] sorted by root, rest_degree).  A root r is
     repeated exactly when f'(r) = 0 mod p; a cubic has at most one repeated
     root, and its multiplicity is 4 - (number of distinct roots).  The rest,
     of degree 0, 2 or 3, has no root, so it is irreducible.
     """
+    fprime = _derivative(coeffs)
+    mults = [4 - len(roots) if poly_eval(fprime, r, p) == 0 else 1 for r in roots]
+    return list(zip(roots, mults)), 3 - sum(mults)
+
+
+def factor_cubic_mod_p(coeffs, p: int) -> tuple[list[tuple[int, int]], int]:
+    """``splitting_type`` of a cubic mod p, with the roots from ``roots_mod_p``."""
     f = poly_reduce(coeffs, p)
     if len(f) != 4:
         raise ValueError("factor_cubic_mod_p wants a cubic that stays cubic mod p")
-    roots = roots_mod_p(f, p)
-    fprime = _derivative(f)
-    mults = [4 - len(roots) if poly_eval(fprime, r, p) == 0 else 1 for r in roots]
-    return list(zip(roots, mults)), 3 - sum(mults)
+    return splitting_type(f, p, roots_mod_p(f, p))
 
 
 def hensel_lift_root(coeffs, p: int, r: int, k: int) -> int:

@@ -24,7 +24,7 @@ from .ideal_arith import (
     norm,
     prime_ideals_up_to,
 )
-from .region_lattice import ConvexRegion, RowForm
+from .region_lattice import WHOLE_PLANE, ConvexRegion, RowForm
 
 _QUARANTINE_FRACTION = 0.01
 _POSTULATE_NORM_CAP = 10_000
@@ -133,9 +133,6 @@ def A_d(seq: SequenceAF, d: Ideal, t) -> int:
 # ------------------------------------------------------------- density g
 
 
-_FULL_ROW = RowForm(1, 0, 1, 0, 0)
-
-
 @dataclass
 class DensityModel:
     """Exact multiplicative density on ideals, from lattice-coset indices."""
@@ -185,7 +182,7 @@ def g_density(K: CubicField, L: Optional[RowForm], d: Ideal) -> Fraction:
     (p,) = ps
     if p in K.index_bound:
         raise IndexBoundError(f"unsupported: density at index-risk prime {p}")
-    base = L if L is not None else _FULL_ROW
+    base = L if L is not None else WHOLE_PLANE
     p_row = RowForm(p, 0, p, 0, 0)
     lam = ideal_lattice(K, d)
     restricted = base.intersect(lam)

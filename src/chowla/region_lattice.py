@@ -117,6 +117,10 @@ class RowForm:
         )
 
 
+# the coset of every point of Z^2
+WHOLE_PLANE = RowForm(c=1, y0=0, a=1, b=0, x0=0)
+
+
 def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0

@@ -159,6 +159,143 @@ class LatticeCoset:
 # ------------------------------------------------------------- cubic oracles
 
 
+# Cantor-Zassenhaus one prime at a time on Python ints: an independent
+# reference for the package's root lanes at primes too many to scan.
+
+
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of a nonzero quadratic residue n mod an odd prime p."""
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z a non-residue
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _quadratic_roots(b: int, c: int, p: int) -> list[int]:
+    """Distinct roots of t^2 + b*t + c mod an odd prime p, sorted."""
+    disc = (b * b - 4 * c) % p
+    half = (p + 1) // 2
+    if disc == 0:
+        return [-b * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = _sqrt_mod(disc, p)
+    return sorted(((s - b) * half % p, (-s - b) * half % p))
+
+
+def _pow_linear(delta: int, e: int, t3, t4, p: int) -> tuple[int, int, int]:
+    """(t + delta)^e mod a monic cubic f, e >= 1, as the coefficient triple
+    (c0, c1, c2) of c0 + c1*t + c2*t^2; t3 and t4 are t^3 and t^4 mod f."""
+    t30, t31, t32 = t3
+    t40, t41, t42 = t4
+    a0, a1, a2 = delta % p, 1, 0
+    for bit in bin(e)[3:]:
+        e3, e4 = 2 * a1 * a2, a2 * a2
+        a0, a1, a2 = (
+            (a0 * a0 + e3 * t30 + e4 * t40) % p,
+            (2 * a0 * a1 + e3 * t31 + e4 * t41) % p,
+            (2 * a0 * a2 + a1 * a1 + e3 * t32 + e4 * t42) % p,
+        )
+        if bit == "1":
+            a0, a1, a2 = (
+                (a2 * t30 + delta * a0) % p,
+                (a0 + a2 * t31 + delta * a1) % p,
+                (a1 + a2 * t32 + delta * a2) % p,
+            )
+    return a0, a1, a2
+
+
+def _gcd_root(B: int, C: int, D: int, h, p: int):
+    """A root of f = t^3 + B*t^2 + C*t + D read off gcd(f, h), h = (h0, h1, h2) != 0.
+
+    Returns (r, True) when h made monic divides f, with r the root of
+    f / h; otherwise gcd(f, h) = gcd(h, f mod h) is at most linear, and
+    (x, False) is returned when f vanishes at x, the root of whichever of
+    h and f mod h is linear; else None.
+    """
+    h0, h1, h2 = h
+    if h2:
+        inv = pow(h2, -1, p)
+        g1, g0 = h1 * inv % p, h0 * inv % p
+        # f mod (t^2 + g1*t + g0), using t^3 = (g1^2 - g0)*t + g1*g0 there
+        h1 = (g1 * g1 - g0 - B * g1 + C) % p
+        h0 = (g1 * g0 - B * g0 + D) % p
+        if not (h1 or h0):
+            return (g1 - B) % p, True
+    if not h1:
+        return None
+    x = -h0 * pow(h1, -1, p) % p
+    return (x, False) if (((x + B) * x + C) * x + D) % p == 0 else None
+
+
+def _cubic_roots(D: int, C: int, B: int, p: int) -> list[int]:
+    """Distinct roots of the monic t^3 + B*t^2 + C*t + D mod a prime p.
+
+    For p = 2, t^p - t has degree 2, so it is never 0 mod f and the
+    Cantor-Zassenhaus step, which needs p odd, is not reached.
+    """
+    t3 = (-D % p, -C % p, -B % p)
+    t4 = (B * D % p, (B * C - D) % p, (B * B - C) % p)
+    h0, h1, h2 = _pow_linear(0, p, t3, t4, p)
+    h = (h0, (h1 - 1) % p, h2)  # t^p - t mod f
+    if any(h):
+        # every root of f is a root of t^p - t, so the gcd holds all of them
+        found = _gcd_root(B, C, D, h, p)
+        if found is None:
+            return []
+        r, repeated = found
+        # a degree-2 gcd: two distinct roots, r the double one
+        return sorted((r, (-B - 2 * r) % p)) if repeated else [r]
+    # f divides t^p - t: three distinct roots; Cantor-Zassenhaus finds one.
+    # delta = 0 never splits a pure cubic t^3 - c: its roots differ by cube
+    # roots of unity, which are squares, so t^((p-1)/2) is one value on all three
+    for delta in range(1, p):
+        w0, w1, w2 = _pow_linear(delta, (p - 1) // 2, t3, t4, p)
+        w = ((w0 - 1) % p, w1, w2)
+        found = _gcd_root(B, C, D, w, p) if any(w) else None
+        if found is not None:
+            r = found[0]
+            e1 = (B + r) % p  # f / (t - r) = t^2 + e1*t + e0
+            return sorted([r] + _quadratic_roots(e1, (C + r * e1) % p, p))
+    raise ArithmeticError(f"equal-degree split failed mod {p}")
+
+
+def scalar_roots_mod_p(coeffs, p: int) -> list[int]:
+    """Distinct roots in GF(p) of a polynomial of degree <= 3, sorted: the
+    scalar reference for the package's root lanes.
+
+    Solved as the monic cubic of ``_cubic_roots`` on Python ints: a
+    polynomial f of degree k < 3 mod p is taken as t^(3-k) * f, and the
+    root 0 this adds is dropped unless f(0) = 0 mod p, as in
+    ``roots_mod_primes``.
+    """
+    f = [c % p for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        raise ValueError(f"polynomial vanishes identically mod {p}")
+    cubic = [0] * (4 - len(f)) + f
+    inv = pow(f[-1], -1, p)
+    roots = _cubic_roots(*(c * inv % p for c in cubic[:3]), p)
+    return roots[1:] if len(f) < 4 and f[0] else roots
+
+
 def brute_splitting(coeffs, p: int) -> tuple[list[tuple[int, int]], int]:
     """Splitting type of a monic cubic mod p by synthetic division.
 

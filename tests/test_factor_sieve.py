@@ -89,6 +89,21 @@ def test_cofactor_resolve_corruption():
         cofactor_resolve(1, 100)
 
 
+def test_divide_out_raises_on_a_cell_its_prime_does_not_divide():
+    """A struck cofactor of 1 reaches the quotient 0, which 3 divides on
+    every pass: the divide-out raises instead of looping."""
+    cof = np.array([1, 9], dtype=np.int64)
+    with pytest.raises(SieveCorruptionError):
+        factor_sieve._divide_out(cof, np.array([0, 1]), 3)
+    # one prime per index: 4 // 2 // 5 = 0
+    cof = np.array([4, 9], dtype=np.int64)
+    with pytest.raises(SieveCorruptionError):
+        factor_sieve._divide_out(cof, np.array([0, 0, 1]), np.array([2, 5, 3]))
+    cof = np.array([8, 45], dtype=np.int64)
+    assert factor_sieve._divide_out(cof, np.array([0, 1, 1]), np.array([2, 3, 5])).tolist() == [3, 2, 1]
+    assert cof.tolist() == [1, 1]
+
+
 def test_grid_matches_trial_division():
     region = ConvexRegion.box(-20, 20, -20, 20)
     for form in (F2, BinaryCubicForm(1, -1, 0, 1)):

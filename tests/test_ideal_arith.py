@@ -346,3 +346,42 @@ def test_ideal_lattice_composite(K2):
                 and valuation_at_point(K2, q3, x, y) >= 2
             )
             assert lam.contains(x, y) == want
+
+
+def test_ideal_from_point_off_disc_vs_factor_prime(K2, K23, K31):
+    """For p not dividing the discriminant, the prime ideal ideal_from_point
+    builds directly is the degree-1 prime of factor_prime whose root is x/y."""
+    for K in (K2, K23, K31):
+        tags = {}
+        for x in range(-40, 41):
+            for y in range(-40, 41):
+                if math.gcd(x, y) != 1:
+                    continue
+                for q, _ in ideal_from_point(K, x, y).factors:
+                    if K.disc % q.p:
+                        assert q.root_tag == x * pow(y, -1, q.p) % q.p
+                        tags.setdefault(q.p, set()).add(q)
+        assert len(tags) > 900
+        for p, built in tags.items():
+            assert built <= set(factor_prime(K, p)), (K, p)
+
+
+def test_prime_ideals_up_to_fills_the_cache_as_factor_prime():
+    """The cache one prime_ideals_up_to call fills on a fresh field equals
+    per-prime factor_prime on another fresh field."""
+    kinds = set()
+    for g in (
+        BinaryCubicForm(1, 0, 0, 2),
+        BinaryCubicForm(1, -1, 0, 1),
+        BinaryCubicForm(1, 0, 1, 1),
+        BinaryCubicForm(1, 0, -3, 1),  # cyclic, totally ramified at 3
+    ):
+        K, fresh = build_field(g), build_field(g)
+        prime_ideals_up_to(K, 2000)
+        assert set(K._factor_cache) == set(simple_primes(2000)) - K.index_bound
+        for p, qs in K._factor_cache.items():
+            assert list(qs) == factor_prime(fresh, p), (g, p)
+            kinds.add(tuple((q.residue_degree, q.ramification) for q in qs))
+    # split, one root + quadratic, inert, and ramified (e = 2 and e = 3)
+    assert {((1, 1),) * 3, ((2, 1), (1, 1)), ((3, 1),), ((1, 3),)} <= kinds
+    assert any((1, 2) in kind for kind in kinds)

@@ -4,11 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from chowla.cubic_form import ExactRangeError
 from chowla.polymod import roots_mod_p, roots_mod_primes
 from chowla.primes import is_prime
 
-from helpers import simple_primes
+from helpers import scalar_roots_mod_p, simple_primes
 
 
 def _scan(coeffs, p: int) -> list[int]:
@@ -52,15 +51,15 @@ _NEAR_1E5 = [99961, 99971, 99989, 99991, 100003, 100019]
 _DEEP_2ADIC = [7681, 12289, 40961, 65537]
 
 
-def _lanes(coeffs, primes) -> tuple[list[int], list[int]]:
+def _lanes(coeffs, primes, dtype=np.int64) -> tuple[list[int], list[int]]:
     pair_p, pair_r = roots_mod_primes(coeffs, np.array(primes, dtype=np.int64))
-    assert pair_p.dtype == pair_r.dtype == np.int64
+    assert pair_p.dtype == pair_r.dtype == dtype
     return pair_p.tolist(), pair_r.tolist()
 
 
 @pytest.mark.parametrize("p", _SMALL + _NEAR_3000 + _NEAR_1E5 + _DEEP_2ADIC)
 def test_roots_mod_p_vs_scan(p):
-    """Both lane shapes against the scan, the batched one a lane at a time."""
+    """roots_mod_p and a one-lane roots_mod_primes call against the scan."""
     rng = random.Random(p)
     for coeffs in _cases(p, rng):
         want = _scan(coeffs, p)
@@ -85,9 +84,12 @@ def test_roots_mod_p_chosen_roots():
         assert roots_mod_p([0, 0, 0, 1], p) == [0]
 
 
-@pytest.mark.parametrize("p", [2**31 + 11, 10**12 + 39])
+_PAST_INT64_LANES = [2**31 + 11, 4294967311, 10**12 + 39, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", _PAST_INT64_LANES)
 def test_roots_mod_p_large_primes(p):
-    """Primes too large to scan, both = 1 mod 3; cubics with known roots."""
+    """Primes too large to scan, all = 1 mod 3; cubics with known roots."""
     rng = random.Random(p)
     r1, r2, r3 = rng.sample(range(p), 3)
     lead = rng.randint(2, p - 1)
@@ -110,6 +112,18 @@ def test_roots_mod_p_large_primes(p):
     assert roots_mod_p([-n, 0, 1, p], p) == []
 
 
+@pytest.mark.parametrize("p", _PAST_INT64_LANES)
+def test_roots_mod_p_vs_scalar_past_int64_lanes(p):
+    """The Python-int lanes against the scalar reference on random cubics,
+    some with p | a, and on cubics with chosen roots."""
+    rng = random.Random(p)
+    for _ in range(40):
+        coeffs = [rng.randint(-p, p) for _ in range(3)] + [rng.choice([1, 2 * p, rng.randint(1, p)])]
+        roots, lead = rng.sample(range(p), 3), rng.randint(1, p - 1)
+        for f in (coeffs, _from_roots(roots, lead), _from_roots(roots[:2], lead) + [p]):
+            assert roots_mod_p(f, p) == scalar_roots_mod_p(f, p), f
+
+
 @pytest.mark.parametrize("p", [5, 2999, 3001, 99991])
 def test_roots_mod_p_rejects_vanishing(p):
     for coeffs in ([0, 0, 0, 0], [p, -2 * p, 3 * p, p], [0, 0, 0, p]):
@@ -121,8 +135,8 @@ def test_roots_mod_p_rejects_vanishing(p):
 
 
 def _loop(coeffs, primes) -> tuple[list[int], list[int]]:
-    """The per-prime loop: roots_mod_p at each prime, flattened as the lanes are."""
-    pairs = [(p, r) for p in primes for r in roots_mod_p(coeffs, p)]
+    """The scalar reference at each prime, flattened as the lanes are."""
+    pairs = [(p, r) for p in primes for r in scalar_roots_mod_p(coeffs, p)]
     return [p for p, _ in pairs], [r for _, r in pairs]
 
 
@@ -151,20 +165,22 @@ def _seeded_forms(rng: random.Random, count: int) -> list[list[int]]:
 
 
 def test_roots_mod_primes_vs_loop_to_20000():
-    """One call over every prime up to 20,000 equals the per-prime loop."""
+    """One call over every prime up to 20,000 equals the scalar per-prime loop."""
     primes = simple_primes(20000)
     for coeffs in list(_LANE_FORMS) + _seeded_forms(random.Random(1981), 8):
         assert _lanes(coeffs, primes) == _loop(coeffs, primes), coeffs
 
 
 _LANE_EDGE = [2**31 - 1, 2147483629]
+_PAST_LANES = 2147483659  # the first prime past the int64 lanes
 
 
 def test_roots_mod_primes_exact_range_edge():
-    """The largest primes the int64 lanes take, with chosen roots; a prime
-    past 2^31 raises instead of wrapping."""
+    """The largest primes the int64 lanes take and the first prime past
+    them, with chosen roots, each in one call with a small prime: past 2^31
+    the lanes hold Python ints instead of wrapping."""
     rng = random.Random(2**31)
-    for p in _LANE_EDGE:
+    for p in _LANE_EDGE + [_PAST_LANES]:
         assert is_prime(p)
         r1, r2, r3 = rng.sample(range(p), 3)
         lead = rng.randint(2, p - 1)
@@ -179,19 +195,18 @@ def test_roots_mod_primes_exact_range_edge():
             ((r1, r2), _from_roots((r1, r2), lead) + [5 * p]),  # p | a
             ((r2,), _from_roots((r2, r2)) + [-p]),
         ]
+        dtype = np.int64 if p < 2**31 else object
         for roots, coeffs in cases:
-            coeffs = [k % p for k in coeffs]  # the lanes take int64 coefficients
+            coeffs = [k % p for k in coeffs]  # int64 lanes take int64 coefficients
             want = sorted(set(roots))
+            small = _scan(coeffs, 7)
             assert roots_mod_p(coeffs, p) == want
-            assert _lanes(coeffs, [p]) == ([p] * len(want), want), roots
+            assert _lanes(coeffs, [7, p], dtype) == ([7] * len(small) + [p] * len(want), small + want), roots
     # small coefficients serve both primes in one call
     assert _lanes(_from_roots((1, 2, 5), lead=3), _LANE_EDGE) == (
         [_LANE_EDGE[0]] * 3 + [_LANE_EDGE[1]] * 3,
         [1, 2, 5, 1, 2, 5],
     )
-    assert is_prime(2147483659)
-    with pytest.raises(ExactRangeError):
-        roots_mod_primes([2, 0, 0, 1], np.array([3, 2147483659], dtype=np.int64))
 
 
 def test_roots_mod_primes_rejects_vanishing():
