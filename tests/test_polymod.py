@@ -207,6 +207,8 @@ def test_roots_mod_primes_exact_range_edge():
         [_LANE_EDGE[0]] * 3 + [_LANE_EDGE[1]] * 3,
         [1, 2, 5, 1, 2, 5],
     )
+    # so does a coefficient past int64, at small primes
+    assert _lanes([2 + 3 * 5 * 7 * 2**70, 0, 0, 1], [3, 5, 7], object) == _lanes([2, 0, 0, 1], [3, 5, 7])
 
 
 def test_roots_mod_primes_rejects_vanishing():
