@@ -10,7 +10,10 @@ The parity of f(x, y) does not depend on N, so when the unit region holds the
 origin (an exact rational test), every N*S lies in N_max*S and the schedule is
 sieved once, on N_max's grid, each row read off it band by band.  A region
 without the origin is sieved row by row.  Either way every row passes the
-grid guards, in schedule order, before its sieve runs.
+grid guards, in schedule order, before its sieve runs.  A region closed
+under negation (a box or disc centred at 0, say) on a coset that is too, or
+on none, is sieved on its rows y >= 0 alone, row 0 counted once and every
+other row twice: f(-x, -y) = -f(x, y) has the same parities.
 """
 
 from __future__ import annotations

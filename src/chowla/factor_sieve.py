@@ -26,12 +26,19 @@ meets each row at most once, so its lines are walked instead: the coset
 points of a line x = r*y (mod p) form the lattice x = X + B*t (mod a*p)
 over the stored rows t, and each goes from hit to hit through the box's
 columns along a reduced basis, all (p, r) pairs of a band in step.
+
+A cubic form is odd, f(-x, -y) = -f(x, y), so a parity-path grid closed
+under negation, every region and the coset alike (an exact test on their
+data), holds each value twice off row 0.  Only its rows y >= 0 are then
+sieved: the reduction weighs row 0 once and every other row twice, and
+kept int8 grids get their rows y < 0 by point reflection.  The table path
+always sieves the whole grid.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -643,6 +650,8 @@ def _strike_band(spec: GridSpec, table: _StrikeTable, band: _Band, cof: np.ndarr
         visit(idx[on], q[on], _divide_out(cof, idx[on], q[on]))
     for idx, q in _walk(spec, table, band):
         if idx.size:
+            if (cof[idx] % q).any():
+                raise SieveCorruptionError("a walked prime does not divide a cell it hit")
             visit(idx, q, _divide_out(cof, idx, q))
 
 
@@ -666,13 +675,15 @@ def _sieve_band(spec: GridSpec, table: _StrikeTable, band: _Band, visit):
     return V, cof, mask
 
 
-def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, band: _Band, regions, keep: bool):
+def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, band: _Band, regions, keep: bool, half: bool):
     """Sieve one band and reduce it per region.
 
     Returns a (regions, 4) int64 array of (points, mu_sum, lam_sum,
     omg_sum), and the last region's masked mu/lam/omg band grids if keep,
     else None.  A prefix sum along each stored row of each channel makes
-    every region cost two reads per band row, not one per cell.
+    every region cost two reads per band row, not one per cell.  On the
+    half of a symmetric grid (half) a row y > 0 also stands for its
+    reflection, row -y, and weighs twice; row 0 weighs once.
     """
     counts = _ParityCounts(band.rows * band.width)
     cof, mask = _sieve_band(spec, table, band, counts.add)[1:]
@@ -683,9 +694,10 @@ def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, band: _Band, regions
     rows = np.arange(band.rows)
     prefix = np.zeros((band.rows, band.width + 1), dtype=np.int32)
     sums = np.empty((len(regions), 4), dtype=np.int64)
+    weight = 2 - (band.y == 0) if half else 1
     for k, ch in enumerate((mask, *channels)):
         np.cumsum(ch * mask, axis=1, dtype=np.int32, out=prefix[:, 1:])
-        sums[:, k] = (prefix[rows, hi + 1] - prefix[rows, lo]).sum(axis=1)
+        sums[:, k] = ((prefix[rows, hi + 1] - prefix[rows, lo]) * weight).sum(axis=1)
     if not keep:
         return sums, None
     mask &= _inside(lo[-1], hi[-1], band.width)
@@ -766,6 +778,15 @@ def parity_grids(
     N_max*S for a convex S holding the origin.  Each region passes the
     grid guards in turn before anything is sieved.  Deterministic for any
     thread count: every per-point quantity is integer arithmetic.
+
+    f has odd degree, so f(-x, -y) = -f(x, y) and the three channels agree
+    at (x, y) and (-x, -y), as do gcd(x, y) and membership of a coset L
+    with -L = L.  When every region is closed under negation and so is L
+    (an exact test, ``_symmetric``), only the rows y >= 0 are sieved: row
+    0 weighs once in the sums and every other row twice, and keep_arrays
+    fills the rows y < 0 by point reflection of the rows y > 0.  The
+    value guard and the cell caps are decided on the whole grid, and each
+    ParityGrid carries its whole grid's spec.
     """
     specs = [_make_spec(f, S, L, coprime_only) for S in regions]
     spec = specs[-1]
@@ -776,11 +797,31 @@ def parity_grids(
         return [ParityGrid(None, 0, 0, 0, 0) for _ in regions]
     if keep_arrays and spec.cells > _TABLE_CELL_CAP * 8:
         raise ExactRangeError("grid too large to retain per-point arrays")
-    table = _strike_table(spec)
-    bands = _bands(spec)
+    totals, kept = _sieve_parity(spec, regions, threads, keep_arrays, _symmetric(regions, L))
+    grids = [ParityGrid(s, *map(int, t)) for s, t in zip(specs, totals)]
+    if keep_arrays:
+        grids[-1].mu, grids[-1].lam, grids[-1].omg = kept
+    return grids
+
+
+def _symmetric(regions: Sequence[ConvexRegion], L: Optional[RowForm]) -> bool:
+    """Whether every region and the coset L are closed under (x, y) ->
+    (-x, -y); L is when it holds the negation of its point (x0, y0)."""
+    return all(S.symmetric() for S in regions) and (L is None or L.contains(-L.x0, -L.y0))
+
+
+def _sieve_parity(spec: GridSpec, regions, threads: int, keep: bool, half: bool):
+    """The (regions, 4) sums of the grid of spec, and the last region's
+    (mu, lam, omg) box arrays if keep, else None.
+
+    half sieves only the rows y >= 0 of a grid _symmetric admits, and
+    fills the rows y < 0 of the box arrays by point reflection."""
+    sieved = replace(spec, ymin=0) if half else spec
+    table = _strike_table(sieved)
+    bands = _bands(sieved)
 
     def work(band):
-        return _sieve_band_parity(spec, table, band, regions, keep_arrays)
+        return _sieve_band_parity(sieved, table, band, regions, keep, half)
 
     if threads > 1 and len(bands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -788,14 +829,18 @@ def parity_grids(
     else:
         results = [work(band) for band in bands]
     totals = sum((r[0] for r in results), np.zeros((len(regions), 4), dtype=np.int64))
-    grids = [ParityGrid(s, *map(int, t)) for s, t in zip(specs, totals)]
-    if keep_arrays:
-        last = grids[-1]
-        last.mu, last.lam, last.omg = (np.zeros((spec.height, spec.width), dtype=np.int8) for _ in range(3))
-        for band, (_, kept) in zip(bands, results):
-            for box, grid in zip((last.mu, last.lam, last.omg), kept):
-                _scatter(spec, band, grid, box)
-    return grids
+    if not keep:
+        return totals, None
+    boxes = [np.zeros((spec.height, spec.width), dtype=np.int8) for _ in range(3)]
+    for band, (_, kept) in zip(bands, results):
+        for box, grid in zip(boxes, kept):
+            _scatter(spec, band, grid, box)
+    if half:
+        # box row i holds y = i + ymin and column j x = j + xmin, with
+        # ymin = -ymax and xmin = -xmax: (-x, -y) sits at the opposite cell
+        for box in boxes:
+            box[: spec.ymax] = box[::-1, ::-1][: spec.ymax]
+    return totals, boxes
 
 
 # ---------------------------------------------------------------- table path

@@ -189,6 +189,17 @@ class ConvexRegion:
             return ConvexRegion("disc", (cx * t, cy * t, r * t))
         return ConvexRegion("poly", tuple((x * t, y * t) for x, y in self.data))
 
+    def symmetric(self) -> bool:
+        """Whether the region is closed under (x, y) -> (-x, -y), from its
+        data exactly: a box with x0 = -x1 and y0 = -y1, a disc centred at 0,
+        or a polygon whose vertex set is closed under negation."""
+        if self.kind == "box":
+            x0, x1, y0, y1 = self.data
+            return x0 == -x1 and y0 == -y1
+        if self.kind == "disc":
+            return self.data[0] == self.data[1] == 0
+        return set(self.data) == {(-x, -y) for x, y in self.data}
+
     def y_range(self) -> tuple[int, int]:
         if self.kind == "box":
             lo, hi = self.data[2], self.data[3]

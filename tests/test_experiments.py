@@ -163,7 +163,9 @@ def test_shared_sieve_matches_rows_sieved_alone(case, monkeypatch):
     strike_table = factor_sieve._strike_table
     monkeypatch.setattr(factor_sieve, "_strike_table", lambda spec: sieves.append(spec) or strike_table(spec))
     last = factor_sieve._make_spec(FORM, parse_region(region).scale(schedule[-1]), None, False)
-    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 3 * last.width)
+    # bands of about a twelfth of the box's rows: the half of a symmetric
+    # grid that is sieved is still cut into several
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", max(1, last.height // 12) * last.width)
     for threads in (1, 2, 3):
         for alpha, cfg in cfgs.items():
             cfg.threads = threads

@@ -691,3 +691,176 @@ def test_coset_step_past_the_int64_products():
     big = RowForm.span([(2**61, 0), (1, 1)])
     with pytest.raises(ExactRangeError, match="coset step"):
         parity_grid(F2, spec.region, big)
+
+
+def test_walked_hit_its_prime_does_not_divide_raises(monkeypatch):
+    """A walked step that hits a cell its prime does not divide raises
+    before anything is divided: _divide_out alone would count it while the
+    quotient stays nonzero."""
+    walk = factor_sieve._walk
+
+    def wrong(spec, table, band):
+        yield from walk(spec, table, band)
+        # every cofactor left is 1 or one prime past the depth
+        yield np.array([0]), np.array([int(table.primes[-1])])
+
+    monkeypatch.setattr(factor_sieve, "_walk", wrong)
+    with pytest.raises(SieveCorruptionError, match="walked prime"):
+        parity_grid(F2, ConvexRegion.box(-9, 9, -9, 9))
+
+
+# ------------------------------------------------------------- central symmetry
+
+
+def _negated(S: ConvexRegion) -> ConvexRegion:
+    """-S from S's data; scale refuses t < 0."""
+    if S.kind == "box":
+        x0, x1, y0, y1 = S.data
+        return ConvexRegion.box(-x1, -x0, -y1, -y0)
+    if S.kind == "disc":
+        cx, cy, r = S.data
+        return ConvexRegion.disc(-cx, -cy, r)
+    return ConvexRegion.polygon([(-x, -y) for x, y in S.data])
+
+
+def _sieved_specs(monkeypatch) -> list:
+    """Record the spec of every grid parity_grids sieves: ymin = 0 on the
+    half path of a grid with rows below 0."""
+    seen = []
+    bands = factor_sieve._bands
+
+    def record(spec):
+        seen.append(spec)
+        return bands(spec)
+
+    monkeypatch.setattr(factor_sieve, "_bands", record)
+    return seen
+
+
+def _sums(grid) -> tuple[int, int, int, int]:
+    return grid.points, grid.mu_sum, grid.lam_sum, grid.omg_sum
+
+
+# (form, region, coset, coprime, half): a box, a disc off centre and a
+# triangle; a non-monic form with 2 | a and 3 | a; a symmetric box on an
+# asymmetric coset, which takes the whole path, and on a symmetric one
+REFLECTED = (
+    (F2, ConvexRegion.box(-33, 47, -29, 38), None, False, False),
+    (BinaryCubicForm(6, -5, 3, 7), ConvexRegion.disc(Fraction(7, 2), -5, 31),
+     LatticeCoset(basis=((3, 1), (0, 2)), offset=(1, 1)), True, False),
+    (BinaryCubicForm(3, -1, 2, -5), ConvexRegion.polygon([(-30, -20), (41, -3), (-6, 37)]),
+     LatticeCoset(basis=((2, 0), (1, 1)), offset=(1, 0)), False, False),
+    (BinaryCubicForm(6, -5, 3, 7), ConvexRegion.box(-40, 40, -40, 40),
+     LatticeCoset(basis=((3, 1), (0, 1)), offset=(1, 0)), True, False),
+    (BinaryCubicForm(6, -5, 3, 7), ConvexRegion.box(-40, 40, -40, 40),
+     LatticeCoset(basis=((4, 2), (0, 2)), offset=(1, 1)), False, True),
+)
+
+
+@pytest.mark.parametrize("case", range(len(REFLECTED)))
+def test_reflection_identity(case, monkeypatch):
+    """The points and sums over (S, L) equal those over (-S, -L), on bands
+    of a few rows with walked primes, at 1 and 3 threads, and equal the
+    one-band sums.  An asymmetric coset takes the whole path."""
+    f, S, L, coprime, half = REFLECTED[case]
+    negL = None if L is None else LatticeCoset(basis=L.basis, offset=tuple(-v for v in L.offset))
+    rf, neg_rf = (None if C is None else C.row_form() for C in (L, negL))
+    assert factor_sieve._symmetric([S], rf) == half
+    one = _sums(parity_grid(f, S, rf, coprime_only=coprime))
+    assert one[0] > 0
+    spec = factor_sieve._make_spec(f, S, rf, coprime)
+    assert factor_sieve._strike_table(spec).primes.size  # some primes are walked
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 6 * spec.stored_width)
+    seen = _sieved_specs(monkeypatch)
+    for threads in (1, 3):
+        for region, coset in ((S, rf), (_negated(S), neg_rf)):
+            assert _sums(parity_grid(f, region, coset, coprime_only=coprime, threads=threads)) == one
+            assert len(factor_sieve._bands(seen[-1])) >= 4
+            assert (seen[-1].ymin == 0) == half
+
+
+def _symmetric_region(rng: random.Random, kind: str) -> ConvexRegion:
+    """A region closed under negation with an integer point off the origin,
+    inside [-16, 16]^2."""
+    if kind == "box":
+        X, Y = Fraction(rng.randint(2, 64), 4), Fraction(rng.randint(0, 64), 4)
+        return ConvexRegion.box(-X, X, -Y, Y)
+    if kind == "disc":
+        return ConvexRegion.disc(0, 0, Fraction(rng.randint(4, 64), 4))
+    while True:
+        # u, v, w, -u, -v, -w: a hexagon when in convex position, else retry
+        u, v, w = ((rng.randint(-16, 16), rng.randint(-16, 16)) for _ in range(3))
+        try:
+            return ConvexRegion.polygon([u, v, w, (-u[0], -u[1]), (-v[0], -v[1]), (-w[0], -w[1])])
+        except ValueError:
+            continue
+
+
+def _coset_of_class(rng: random.Random, symmetric: bool) -> RowForm:
+    """A RowForm with c, a <= 4 and b, x0, y0 drawn so that -L = L or not."""
+    while True:
+        c, a = rng.randint(1, 4), rng.randint(1, 4)
+        b = rng.randrange(a)
+        pick = [RowForm(c, y0, a, b, x0) for y0 in range(c) for x0 in range(a)]
+        pick = [L for L in pick if L.contains(-L.x0, -L.y0) == symmetric]
+        if pick:
+            return rng.choice(pick)
+
+
+def test_half_grid_matches_whole_grid_random(monkeypatch):
+    """The half path against the whole path, forced on the same spec, on
+    random symmetric regions and cosets: sums and kept grids.  Asymmetric
+    cosets on the same regions must take the whole path."""
+    rng = random.Random(501177)
+    kinds = ("box", "disc", "hexagon")
+    seen = _sieved_specs(monkeypatch)
+    reached = set()
+    for case in range(72):
+        f = _random_form(rng, LEADS[case % len(LEADS)])
+        S = _symmetric_region(rng, kinds[case % len(kinds)])
+        symmetric = case % 4 != 3
+        L = _coset_of_class(rng, symmetric) if case % 4 else None
+        coprime = case % 2 == 1
+        where = f"case {case}: {f.coeffs} {S} {L} coprime={coprime}"
+        spec = factor_sieve._make_spec(f, S, L, coprime)
+        if spec is None:
+            continue
+        monkeypatch.setattr(factor_sieve, "_BAND_CELLS", rng.choice((8_000_000, 3 * spec.stored_width)))
+        got = parity_grid(f, S, L, coprime_only=coprime, threads=1 + case % 3 // 2, keep_arrays=True)
+        assert (seen[-1].ymin == 0 < spec.ymax) == (symmetric and spec.ymax > 0), where
+        assert got.spec == spec, where
+        sums, kept = factor_sieve._sieve_parity(spec, [S], 1, True, False)
+        assert list(_sums(got)) == sums[0].tolist(), where
+        for a, b in zip((got.mu, got.lam, got.omg), kept):
+            assert np.array_equal(a, b), where
+        if symmetric and L is not None:
+            reached |= {("c > 1", L.c > 1), ("b != 0", L.b != 0), ("row 0", L.y0 == 0)}
+    assert {("c > 1", True), ("b != 0", True), ("row 0", False), ("row 0", True)} <= reached
+
+
+# (form, unit region holding the origin, N): the unit box, and a disc off
+# centre, which takes the whole path
+SCALED = (
+    (F2, ConvexRegion.box(-1, 1, -1, 1), 48),
+    (BinaryCubicForm(6, -5, 3, 7), ConvexRegion.disc(Fraction(1, 3), Fraction(-1, 4), 1), 45),
+)
+
+
+@pytest.mark.parametrize("case", range(len(SCALED)))
+def test_gcd_scaling_identity(case, monkeypatch):
+    """f(g*x, g*y) = g^3*f(x, y): over N*S, mu sums over coprime points
+    alone, the lambda sum is sum_g lambda(g)*C_lam(N/g) and the point count
+    sum_g C_pts(N/g), with C the coprime sums over (N/g)*S, all read off one
+    coprime-only parity_grids call on bands of a few rows."""
+    f, S, N = SCALED[case]
+    spec = factor_sieve._make_spec(f, S.scale(N), None, False)
+    assert factor_sieve._strike_table(spec).primes.size
+    monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 8 * spec.stored_width)
+    assert len(factor_sieve._bands(spec)) >= 4
+    every = parity_grid(f, S.scale(N), threads=1 + case)
+    # (N/g)*S holds at most the origin once g passes the half-width
+    gs = range(spec.half_width, 0, -1)
+    C = factor_sieve.parity_grids(f, [S.scale(Fraction(N, g)) for g in gs], coprime_only=True)
+    assert every.mu_sum == C[-1].mu_sum
+    assert every.lam_sum == sum(parities(g)[1] * c.lam_sum for g, c in zip(gs, C))
+    assert every.points == sum(c.points for c in C)
