@@ -141,9 +141,11 @@ def _divisors_signed(n: int) -> list[int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accept plain integers, decimals, and p/q strings."""
+    """Accept plain integers, decimals, and p/q strings; q = 0 is a ValueError."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(t) for t in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"rational {text!r} has a zero denominator")
+        return Fraction(num, den)
     return Fraction(text)

@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError("N schedule must be strictly increasing")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
 
 
 def _rows(cfg: ExperimentConfig, Ns: Sequence[int]) -> list[ConvergenceRow]:

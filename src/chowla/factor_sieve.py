@@ -25,7 +25,10 @@ dividing a, strike their lines row by row.  A prime at or past the width
 meets each row at most once, so its lines are walked instead: the coset
 points of a line x = r*y (mod p) form the lattice x = X + B*t (mod a*p)
 over the stored rows t, and each goes from hit to hit through the box's
-columns along a reduced basis, all (p, r) pairs of a band in step.
+columns along a reduced basis, all (p, r) pairs of a band in step.  The
+three come out of one strike stream that leaves out the origin, where
+f(0, 0) = 0, into one divide-out that checks each set before it divides:
+a wrong root, lead or walk raises SieveCorruptionError.
 
 A cubic form is odd, f(-x, -y) = -f(x, y), so a parity-path grid closed
 under negation, every region and the coset alike (an exact test on their
@@ -96,22 +99,22 @@ def parity_range(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _divide_out(cof: np.ndarray, idx: np.ndarray, p) -> np.ndarray:
-    """Divide p out of cof[idx] completely; p must divide every cof[idx].
+    """Divide p out of cof[idx] completely, once p is checked to divide
+    every cof[idx]; else SieveCorruptionError, with cof left as it was.
 
     p is one prime, or one prime per index.  An index may repeat for
-    distinct primes: ``ufunc.at`` divides such a cell once per entry.
+    distinct primes, never for one: ``ufunc.at`` divides such a cell once
+    per entry, and every quotient stays at least 1, so the loop ends.
     Returns the exponent of p at each index (uint8: cofactors are < 2^62,
-    so no exponent passes 61).  A cell p does not divide can reach the
-    quotient 0, which p divides on every pass; the pass past exponent 61
-    raises SieveCorruptionError for it instead of looping forever.
+    so no exponent passes 61).
     """
+    if np.count_nonzero(cof[idx] % p):
+        raise SieveCorruptionError("a struck prime does not divide its cell")
     np.floor_divide.at(cof, idx, p)
     exps = np.ones(idx.size, dtype=np.uint8)
     deeper = np.nonzero(cof[idx] % p == 0)[0]
     while deeper.size:
         exps[deeper] += 1
-        if exps[deeper[0]] > 61:  # every cell of deeper has taken each pass
-            raise SieveCorruptionError("a struck cell's quotient reached 0: its prime did not divide it")
         q = p if np.ndim(p) == 0 else p[deeper]
         # idx[deeper] is gathered twice rather than held: holding it raised
         # the peak memory of the p = 2 strike
@@ -271,13 +274,15 @@ def _root_table(f: BinaryCubicForm, primes: np.ndarray) -> tuple[np.ndarray, np.
 class _Band:
     """A run of stored rows: row k lies at y[k], and its column i at
     x = xs[k] + a*i for i < ns[k]; the columns from ns[k] on lie past xmax.
-    Flat index k*width + i; base[k] = k*width."""
+    Flat index k*width + i; base[k] = k*width.  origin is the flat index
+    of (0, 0), or -1 when the band does not hold it."""
 
     y: np.ndarray
     xs: np.ndarray
     ns: np.ndarray
     base: np.ndarray
     width: int
+    origin: int
 
     @property
     def rows(self) -> int:
@@ -285,7 +290,11 @@ class _Band:
 
     def select(self, keep: np.ndarray) -> "_Band":
         """The rows keep picks (a mask or indices), with their flat bases."""
-        return _Band(self.y[keep], self.xs[keep], self.ns[keep], self.base[keep], self.width)
+        return _Band(self.y[keep], self.xs[keep], self.ns[keep], self.base[keep], self.width, self.origin)
+
+    def off_origin(self, idx: np.ndarray) -> np.ndarray:
+        """The flat indices idx without the origin's."""
+        return idx if self.origin < 0 else idx[idx != self.origin]
 
 
 def _band(spec: GridSpec, j0: int, j1: int) -> _Band:
@@ -298,7 +307,10 @@ def _band(spec: GridSpec, j0: int, j1: int) -> _Band:
     xs = np.resize(np.array(first, dtype=np.int64), y.size)
     ns = np.maximum((spec.xmax - xs) // L.a + 1, 0)
     width = spec.stored_width
-    return _Band(y, xs, ns, np.arange(y.size, dtype=np.int64) * width, width)
+    # row y = 0 holds the origin when x = 0 is one of its coset columns
+    k = np.nonzero((y == 0) & (xs <= 0) & (xs % L.a == 0))[0].tolist() if spec.xmax >= 0 else []
+    origin = k[0] * width - int(xs[k[0]]) // L.a if k else -1
+    return _Band(y, xs, ns, np.arange(y.size, dtype=np.int64) * width, width, origin)
 
 
 @dataclass(frozen=True)
@@ -478,10 +490,10 @@ def _divisor_rows(table: "_StrikeTable", band: _Band):
     lead_rows, rows, q1 = band.select(k[whole]), band.select(k[~whole]), q[~whole]
     col = (-rows.xs) % q1 * table.ainv[which][~whole] % q1
     on = col < rows.ns
-    return (
-        np.concatenate([_whole_rows(lead_rows), (rows.base + col)[on]]),
-        np.concatenate([np.repeat(q[whole], lead_rows.ns), q1[on]]),
-    )
+    idx = np.concatenate([_whole_rows(lead_rows), (rows.base + col)[on]])
+    q = np.concatenate([np.repeat(q[whole], lead_rows.ns), q1[on]])
+    keep = idx != band.origin  # f(0, 0) = 0 lies in every row p | y
+    return idx[keep], q[keep]
 
 
 def _walk(spec: GridSpec, table: "_StrikeTable", band: _Band):
@@ -558,19 +570,23 @@ def _strike_table(spec: GridSpec) -> _StrikeTable:
     )
 
 
-def _strike_sets(entry, band: _Band):
-    """Disjoint flat-index families covering p | f(x, y) in this band, for
-    one prime p struck row by row; yielded one at a time, so that no two
-    are held at once."""
-    p, roots, p_div_lead, ainv = entry
-    off = band.y % p != 0  # rows with p not dividing y
-    if roots:
-        rows = band.select(off)
-        for r in roots:
-            yield _congruent_cells(rows, r * rows.y, p, ainv)
-    rows = band.select(~off)
-    if rows.rows:
-        yield _whole_rows(rows) if p_div_lead else _congruent_cells(rows, 0, p, ainv)
+def _strike_sets(spec: GridSpec, table: _StrikeTable, band: _Band):
+    """Every (idx, p) the band is struck with, p one prime or one per
+    index: each row-struck prime's root lines and rows p | y, then the
+    walked primes' rows p | y and their lines.  The sets are disjoint and
+    leave out the origin, f(0, 0) = 0.  No name here holds a set while the
+    caller divides it, so no two sets are alive at once."""
+    for p, roots, p_div_lead, ainv in table.small:
+        off = band.y % p != 0  # rows with p not dividing y
+        if roots:
+            rows = band.select(off)
+            for r in roots:
+                yield _congruent_cells(rows, r * rows.y, p, ainv), p
+        rows = band.select(~off)
+        if rows.rows:
+            yield band.off_origin(_whole_rows(rows) if p_div_lead else _congruent_cells(rows, 0, p, ainv)), p
+    yield _divisor_rows(table, band)
+    yield from _walk(spec, table, band)
 
 
 def _row_extents(spec: GridSpec, regions, band: _Band) -> tuple[np.ndarray, np.ndarray]:
@@ -629,50 +645,21 @@ def _band_values(spec: GridSpec, band: _Band) -> np.ndarray:
     return V
 
 
-def _strike_band(spec: GridSpec, table: _StrikeTable, band: _Band, cof: np.ndarray, visit) -> None:
-    """Divide every table prime out of the band's cofactors.
-
-    Calls visit(idx, p, exps) for each strike set, cut to the flat indices
-    p really divides, with the exponent of p at each.  p is one prime, or
-    one prime per index where the walked primes strike together.  A
-    callback rather than a generator, so no strike set outlives its own
-    visit.
-    """
-    for entry in table.small:
-        p = entry[0]
-        for idx in _strike_sets(entry, band):
-            idx = idx[cof[idx] % p == 0]
-            if idx.size:
-                visit(idx, p, _divide_out(cof, idx, p))
-    idx, q = _divisor_rows(table, band)
-    on = cof[idx] % q == 0  # drops the origin and the cells past xmax
-    if on.any():
-        visit(idx[on], q[on], _divide_out(cof, idx[on], q[on]))
-    for idx, q in _walk(spec, table, band):
-        if idx.size:
-            if (cof[idx] % q).any():
-                raise SieveCorruptionError("a walked prime does not divide a cell it hit")
-            visit(idx, q, _divide_out(cof, idx, q))
-
-
-def _sieve_band(spec: GridSpec, table: _StrikeTable, band: _Band, visit):
-    """Strike every table prime out of the band's values, calling visit as
-    _strike_band does.
-
-    Returns the flat values, their leftover cofactors and the mask of the
-    cells to count: the nonzero values, coprime ones only if the spec says
-    so; the region is left to the reductions.  Zero values, the origin (the
-    one zero of an irreducible form) and the cells past xmax, get cofactor 1.
-    """
-    V = _band_values(spec, band).ravel()
-    zero = V == 0
-    cof = np.abs(V)
-    cof[zero] = 1
-    _strike_band(spec, table, band, cof, visit)
-    mask = ~zero
+def _sieve_band(spec: GridSpec, table: _StrikeTable, band: _Band, cof: np.ndarray, visit) -> np.ndarray:
+    """Divide every table prime out of cof, the caller's flat |f| of the
+    band, calling visit(idx, p, exps) for each set of _strike_sets once
+    _divide_out has checked it.  Zero values (the origin, the one zero of
+    an irreducible form, and the cells past xmax) get cofactor 1, so a
+    strike there raises.  Returns the mask of the cells to count: the
+    nonzero values, coprime ones only if the spec says so; the region is
+    left to the reductions."""
+    mask = cof != 0
+    np.maximum(cof, 1, out=cof)
+    for idx, p in _strike_sets(spec, table, band):
+        visit(idx, p, _divide_out(cof, idx, p))
     if spec.coprime_only:
         mask &= _coprime_mask(spec, band)
-    return V, cof, mask
+    return mask
 
 
 def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, band: _Band, regions, keep: bool, half: bool):
@@ -686,7 +673,8 @@ def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, band: _Band, regions
     reflection, row -y, and weighs twice; row 0 weighs once.
     """
     counts = _ParityCounts(band.rows * band.width)
-    cof, mask = _sieve_band(spec, table, band, counts.add)[1:]
+    cof = _band_values(spec, band).ravel()
+    mask = _sieve_band(spec, table, band, np.abs(cof, out=cof), counts.add)
     shape = (band.rows, band.width)
     mask, *channels = (ch.reshape(shape) for ch in (mask, *counts.channels(cof)))
     del cof, counts  # the reduction's prefix sums take their place
@@ -870,7 +858,9 @@ def sieve_grid(
     table = _strike_table(spec)
     band = _band(spec, 0, spec.stored_rows - 1)
     stripes: list[tuple[np.ndarray, object, np.ndarray]] = []
-    V, cof, mask = _sieve_band(spec, table, band, lambda idx, p, exps: stripes.append((idx, p, exps)))
+    V = _band_values(spec, band).ravel()
+    cof = np.abs(V)  # V stays: every Factorization is checked against it
+    mask = _sieve_band(spec, table, band, cof, lambda idx, p, exps: stripes.append((idx, p, exps)))
     lo, hi = _row_extents(spec, [S], band)
     mask &= _inside(lo[0], hi[0], band.width).ravel()
     factors: dict[int, list[tuple[int, int]]] = {}

@@ -95,6 +95,11 @@ def test_config_hyphen_key_and_boolean(tmp_path, capsys):
         ["avg", "--form", "1,0,0,2", "--alpha", "mu", "--region", "box:-1,1,-1,1", "--N", "5,5"],
         ["avg", "--alpha", "mu", "--region", "box:-1,1,-1,1", "--N", "5"],
         ["avg", "--form", "1,0,0,2", "--alpha", "mu", "--region", "ring:1", "--N", "5"],
+        ["avg", "--form", "1,0,0,2", "--alpha", "mu", "--region", "box:0,1/0,0,1", "--N", "10"],
+        ["avg", "--form", "1,0,0,2", "--alpha", "mu", "--region", "disc:0,0,1/0", "--N", "10"],
+        ["avg", "--form", "1,0,0,2", "--alpha", "mu", "--region", "poly:0,0;1,0;0,1/0", "--N", "10"],
+        AVG_ARGS + ["--eps", "nan"],
+        AVG_ARGS + ["--eps", "inf"],
         ["verify", "--suite", "nonsense"],
         ["verify"],
     ],
@@ -114,6 +119,12 @@ def test_bad_config_contents_exit_2(tmp_path, capsys):
     no_eq.write_text("form 1,0,0,2\n")
     assert main(["avg", "--config", str(no_eq)]) == EXIT_USAGE
     assert "expected key=value" in capsys.readouterr().err
+
+    for eps in ("nan", "inf"):
+        bad_eps = tmp_path / "bad_eps.cfg"
+        bad_eps.write_text(f"form=1,0,0,2\nalpha=mu\nregion=box:-1,1,-1,1\nN=100\neps={eps}\n")
+        assert main(["avg", "--config", str(bad_eps)]) == EXIT_USAGE
+        assert "epsilon must be finite" in capsys.readouterr().err
 
     bad_bool = tmp_path / "bad_bool.cfg"
     bad_bool.write_text("coprime-only=maybe\n")

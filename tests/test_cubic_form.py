@@ -118,3 +118,5 @@ def test_parse_rational():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("0.25") == Fraction(1, 4)
     assert parse_rational(" -7/3 ") == Fraction(-7, 3)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")

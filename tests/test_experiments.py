@@ -82,6 +82,9 @@ def test_config_validation():
         _cfg(N_list=[0, 5])
     with pytest.raises(ValueError, match="threads"):
         _cfg(threads=0)
+    for eps in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            _cfg(epsilon=eps)
 
 
 # ------------------------------------------------------------- rows

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -90,11 +91,19 @@ def test_cofactor_resolve_corruption():
 
 
 def test_divide_out_raises_on_a_cell_its_prime_does_not_divide():
-    """A struck cofactor of 1 reaches the quotient 0, which 3 divides on
-    every pass: the divide-out raises instead of looping."""
+    """A struck cofactor of 1 would reach the quotient 0, which 3 divides on
+    every pass: the divide-out raises before it divides anything."""
     cof = np.array([1, 9], dtype=np.int64)
     with pytest.raises(SieveCorruptionError):
         factor_sieve._divide_out(cof, np.array([0, 1]), 3)
+    with pytest.raises(SieveCorruptionError):
+        factor_sieve._divide_out(cof, np.array([1, 0]), 3)
+    assert cof.tolist() == [1, 9]
+    # 50 // 5 // 7 = 1 would count 7 with the quotient still nonzero
+    cof = np.array([50], dtype=np.int64)
+    with pytest.raises(SieveCorruptionError):
+        factor_sieve._divide_out(cof, np.array([0, 0]), np.array([5, 7]))
+    assert cof.tolist() == [50]
     # one prime per index: 4 // 2 // 5 = 0
     cof = np.array([4, 9], dtype=np.int64)
     with pytest.raises(SieveCorruptionError):
@@ -695,18 +704,110 @@ def test_coset_step_past_the_int64_products():
 
 def test_walked_hit_its_prime_does_not_divide_raises(monkeypatch):
     """A walked step that hits a cell its prime does not divide raises
-    before anything is divided: _divide_out alone would count it while the
+    before anything is divided: a division alone would count it while the
     quotient stays nonzero."""
-    walk = factor_sieve._walk
+    walk, sieve_band = factor_sieve._walk, factor_sieve._sieve_band
+    cofs = []
 
     def wrong(spec, table, band):
         yield from walk(spec, table, band)
         # every cofactor left is 1 or one prime past the depth
         yield np.array([0]), np.array([int(table.primes[-1])])
 
+    def record(spec, table, band, cof, visit):
+        cofs.append(cof)
+        return sieve_band(spec, table, band, cof, visit)
+
     monkeypatch.setattr(factor_sieve, "_walk", wrong)
-    with pytest.raises(SieveCorruptionError, match="walked prime"):
+    monkeypatch.setattr(factor_sieve, "_sieve_band", record)
+    with pytest.raises(SieveCorruptionError, match="a struck prime does not divide its cell"):
         parity_grid(F2, ConvexRegion.box(-9, 9, -9, 9))
+    assert cofs[-1][0] == 1  # f(-9, -9) = -3^7, struck to 1 and not divided again
+
+
+def test_shifted_root_below_the_width_raises(monkeypatch):
+    """A root of a prime struck row by row, moved off the zero locus: its
+    line meets cells the prime does not divide, and both paths raise.  t^3 +
+    2 has the one root 2 mod 5 (cubing is a bijection mod 5); 3 is none."""
+    root_table = factor_sieve._root_table
+
+    def shifted(f, primes):
+        pair_p, pair_r = root_table(f, primes)
+        k = int(np.searchsorted(pair_p, 5))
+        assert pair_p[k] == 5 != pair_p[k + 1] and pair_r[k] == 2
+        pair_r = pair_r.copy()
+        pair_r[k] = 3
+        return pair_p, pair_r
+
+    S = ConvexRegion.box(-9, 9, -9, 9)
+    assert factor_sieve._make_spec(F2, S, None, False).stored_width > 5
+    monkeypatch.setattr(factor_sieve, "_root_table", shifted)
+    for run in (parity_grid, sieve_grid):
+        with pytest.raises(SieveCorruptionError, match="a struck prime does not divide its cell"):
+            run(F2, S)
+
+
+def test_wrong_lead_for_a_walked_prime_raises(monkeypatch):
+    """A walked prime taken to divide f's lead strikes its rows p | y whole,
+    where f = x^3 (mod p) is not 0 off p | x: the divisor rows raise on both
+    paths, before the walk."""
+    strike_table = factor_sieve._strike_table
+
+    def flipped(spec):
+        table = strike_table(spec)
+        k = int(np.searchsorted(table.primes, 23))
+        assert table.primes[k] == 23 and not table.lead[k]
+        lead = table.lead.copy()
+        lead[k] = True
+        return replace(table, lead=lead)
+
+    def refuse(spec, table, band):
+        raise AssertionError("walked before the divisor rows raised")
+        yield
+
+    S = ConvexRegion.box(-9, 9, -60, 60)  # rows y = 0, +-23, +-46
+    assert factor_sieve._make_spec(F2, S, None, False).stored_width < 23
+    monkeypatch.setattr(factor_sieve, "_strike_table", flipped)
+    monkeypatch.setattr(factor_sieve, "_walk", refuse)
+    for run in (parity_grid, sieve_grid):
+        with pytest.raises(SieveCorruptionError, match="a struck prime does not divide its cell"):
+            run(F2, S)
+
+
+# (form, region, coset): a box off centre, a coset through the origin, a
+# form with 2, 3 | a, whose rows p | y are struck whole, and a symmetric
+# box, which takes the half path
+THROUGH_ORIGIN = (
+    (F2, ConvexRegion.box(-7, 12, -9, 15), None),
+    (BinaryCubicForm(3, -1, 2, -5), ConvexRegion.box(-20, 17, -15, 21), RowForm.span([(3, 1), (0, 2)])),
+    (BinaryCubicForm(6, -5, 3, 7), ConvexRegion.box(-10, 13, -8, 11), None),
+    (BinaryCubicForm(6, -5, 3, 7), ConvexRegion.box(-12, 12, -12, 12), None),
+)
+
+
+@pytest.mark.parametrize("case", range(len(THROUGH_ORIGIN)))
+def test_no_strike_set_holds_the_origin(case, monkeypatch):
+    """f(0, 0) = 0 lies on every row p | y; no strike set holds it, on
+    either path, though row 0 is struck."""
+    f, S, L = THROUGH_ORIGIN[case]
+    assert S.contains(0, 0) and (L is None or L.contains(0, 0))
+    assert factor_sieve._symmetric([S], L) == (case == 3)
+    strike_sets = factor_sieve._strike_sets
+    row_0 = []
+
+    def check(spec, table, band):
+        for idx, p in strike_sets(spec, table, band):
+            row, col = np.divmod(idx, band.width)
+            x, y = band.xs[row] + spec.lattice.a * col, band.y[row]
+            assert not np.any((x == 0) & (y == 0)), p
+            row_0.append(np.count_nonzero(y == 0))
+            yield idx, p
+
+    monkeypatch.setattr(factor_sieve, "_strike_sets", check)
+    for run in (parity_grid, sieve_grid):
+        row_0.clear()
+        run(f, S, L)
+        assert sum(row_0) > 0
 
 
 # ------------------------------------------------------------- central symmetry
