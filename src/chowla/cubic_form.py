@@ -109,35 +109,53 @@ def is_irreducible(f: BinaryCubicForm) -> bool:
     """Irreducibility over Q by the rational root test.
 
     A reducible cubic form has a linear factor: either y (a == 0), x (d == 0),
-    or q*x - p*y with p/q a rational root of f(t, 1) in lowest terms, p | d
-    and q | a.  Degree 3 means no other reducibility pattern exists.
+    or q*x - p*y with p/q a rational root of f(t, 1).  Degree 3 means no
+    other reducibility pattern exists.  As a^2 * f(t, 1) = g(a*t) for the
+    monic g(u) = u^3 + b*u^2 + a*c*u + a^2*d, whose rational roots are
+    integers, f(t, 1) has a rational root exactly when g has an integer
+    root.  Those lie within Cauchy's bound, and the real roots of g' cut
+    that range into pieces where g is monotone, each searched by bisection.
     """
     a, b, c, d = f.coeffs
     if a == 0 or d == 0:
         return False
-    for p in _divisors_signed(d):
-        for q in _divisors_pos(a):
-            if math.gcd(abs(p), q) != 1:
-                continue
-            # f(p/q, 1) == 0  <=>  a p^3 + b p^2 q + c p q^2 + d q^3 == 0
-            if a * p**3 + b * p**2 * q + c * p * q**2 + d * q**3 == 0:
-                return False
-    return True
+    ac, aad = a * c, a * a * d
+
+    def g(u: int) -> int:
+        return ((u + b) * u + ac) * u + aad
+
+    bound = 1 + max(abs(b), abs(ac), abs(aad))
+    pieces = [(-bound, bound)]
+    disc = b * b - 3 * ac  # g' = 3u^2 + 2bu + ac has roots (-b -+ sqrt(disc)) / 3
+    if disc > 0:
+        s = math.isqrt(disc)
+        r = s if s * s == disc else s + 1  # ceil(sqrt(disc))
+        # floor and ceil of each root of g'
+        lo1, hi1 = (-b - r) // 3, -((b + s) // 3)
+        lo2, hi2 = (-b + s) // 3, -((b - r) // 3)
+        pieces = [(-bound, lo1), (hi1, lo2), (hi2, bound)]
+    return not any(_monotone_has_root(g, lo, hi) for lo, hi in pieces)
 
 
-def _divisors_pos(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for k in range(1, math.isqrt(n) + 1):
-        if n % k == 0:
-            out.append(k)
-            out.append(n // k)
-    return sorted(set(out))
-
-
-def _divisors_signed(n: int) -> list[int]:
-    pos = _divisors_pos(n)
-    return [-k for k in reversed(pos)] + pos
+def _monotone_has_root(g, lo: int, hi: int) -> bool:
+    """Whether g, monotone on the integers lo..hi, vanishes at one of them."""
+    if lo > hi:
+        return False
+    glo, ghi = g(lo), g(hi)
+    if glo == 0 or ghi == 0:
+        return True
+    if (glo > 0) == (ghi > 0):
+        return False
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        gm = g(mid)
+        if gm == 0:
+            return True
+        if (gm > 0) == (glo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return False
 
 
 def parse_rational(text: str) -> Fraction:

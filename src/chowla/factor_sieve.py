@@ -628,20 +628,22 @@ def _coprime_mask(spec: GridSpec, band: _Band) -> np.ndarray:
 def _band_values(spec: GridSpec, band: _Band) -> np.ndarray:
     """f at the band's cells, class by class of its rows mod spec.period,
     which share their columns; the cells past xmax are left 0 and never
-    evaluated, since the value guard covers the box only."""
+    evaluated, since the value guard covers the box only.  Each class is
+    evaluated in place by Horner, ((a*x + b*y)*x + c*y^2)*x + d*y^3, every
+    partial value inside the guard's 4*H*m^3."""
     a, b, c, d = spec.form.coeffs
-    V = None
+    V = np.zeros((band.rows, band.width), dtype=np.int64)
     for k0 in range(min(spec.period, band.rows)):
         rows, n = slice(k0, None, spec.period), int(band.ns[k0])
         X = band.xs[k0] + spec.lattice.a * np.arange(n, dtype=np.int64)
         Y = band.y[rows, None]
-        T = (a * X**3)[None, :] + (b * X**2)[None, :] * Y + (c * X)[None, :] * Y**2
-        if V is None:
-            # taken once the first temporaries are freed, so that it reuses
-            # their pages instead of faulting in fresh ones
-            V = np.empty((band.rows, band.width), dtype=np.int64)
-        np.add(T, d * Y**3, out=V[rows, :n])
-        V[rows, n:] = 0
+        v = V[rows, :n]
+        np.multiply(Y, b, out=v)
+        v += a * X
+        v *= X
+        v += c * Y**2
+        v *= X
+        v += d * Y**3
     return V
 
 

@@ -2,24 +2,15 @@
 
 Coefficient lists are lowest-degree-first.  Roots have one algorithm in one
 shape: ``roots_mod_primes`` solves every prime given at once, one numpy lane
-per prime, all lanes in step, by gcd(f, t^p - t) and then one
-Cantor-Zassenhaus step where f splits completely.  ``roots_mod_p`` is one
-lane of it.  The lanes are int64 for primes below 2^31 and Python ints past
-that.
+per prime, all lanes in step, by gcd(f, t^p - t) and then, where f splits
+completely, Cantor-Zassenhaus shifts until two distinct roots turn up; the
+third follows, as the roots of a monic cubic sum to minus its t^2
+coefficient.  ``roots_mod_p`` is one lane of it.  The lanes are int64 for
+primes below 2^31 and Python ints past that.
 """
 from __future__ import annotations
 
 import numpy as np
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def poly_reduce(a, p: int) -> list[int]:
-    return _trim([c % p for c in a])
 
 
 def poly_eval(a, x: int, p: int) -> int:
@@ -32,7 +23,7 @@ def poly_eval(a, x: int, p: int) -> int:
 # Lanes hold residues below 2^31: a product of two is below 2^62, and a sum
 # of two such products, 2*(2^31 - 1)^2 at most, still fits in int64.
 _LANE_LIMIT = 1 << 31
-# shifts delta (and non-residue candidates) tried per open lane in one pass
+# shifts delta tried per open lane in one pass
 _TRIES = 4
 
 
@@ -104,68 +95,19 @@ def _lane_gcd_root(B, C, D, h0, h1, h2, p):
     return x, found & (divides | (fx == 0)), divides
 
 
-def _lane_nonresidues(p):
-    """A quadratic non-residue mod each odd prime p, from 2, 3, 4, ..."""
-    z = np.zeros_like(p)
-    todo = np.arange(p.size)
-    start = 2
-    while todo.size:
-        lane = np.repeat(todo, _TRIES)
-        cand = np.tile(np.arange(start, start + _TRIES, dtype=np.int64), todo.size)
-        q = p[lane]
-        hit = _lane_pow(cand, (q - 1) // 2, q) == q - 1
-        z[lane[hit]] = cand[hit]  # any non-residue serves
-        todo = todo[z[todo] == 0]
-        start += _TRIES
-    return z
-
-
-def _lane_sqrt(n, p):
-    """A square root of each quadratic residue n mod an odd prime p.
-
-    Tonelli-Shanks with p - 1 = q * 2^s, all lanes in step: t = n^q is
-    pushed down the 2-Sylow subgroup one order at a time by c = z^q, its
-    generator, so step i runs on the lanes with s > i.
-    """
-    q = p - 1
-    while True:
-        even = q % 2 == 0
-        if not even.any():
-            break
-        q = np.where(even, q // 2, q)
-    low = (p - 1) // q  # 2^s
-    x = _lane_pow(n, (q - 1) // 2, p)
-    r = n * x % p
-    t = r * x % p
-    c = np.ones_like(p)  # lanes with s = 1 take no step
-    deep = np.nonzero(low > 2)[0]
-    if deep.size:
-        c[deep] = _lane_pow(_lane_nonresidues(p[deep]), q[deep], p[deep])
-    for i in reversed(range(1, int(low.max()).bit_length() - 1)):
-        # on the live lanes t has order dividing 2^i, and c order 2^(i+1)
-        live = low > 1 << i
-        d = t
-        for _ in range(i - 1):
-            d = d * d % p
-        flip = live & (d == p - 1)
-        r = np.where(flip, r * c % p, r)
-        c = np.where(live, c * c % p, c)
-        t = np.where(flip, t * c % p, t)
-    return r
-
-
 def _lane_split_roots(B, C, D, p):
     """The three roots of monic cubics f that divide t^p - t, p odd.
 
     Cantor-Zassenhaus: for delta = 1, 2, ... on the lanes still open,
-    gcd(f, (t + delta)^((p-1)/2) - 1) yields one root r, read off
+    gcd(f, (t + delta)^((p-1)/2) - 1) yields one root, read off
     g(u) = f(u - delta), whose roots are those of f shifted by delta, as
-    gcd(g, u^((p-1)/2) - 1); then f / (t - r) by the quadratic formula.
-    delta = 0 is skipped: it never splits a pure cubic t^3 - c, whose roots
-    differ by cube roots of unity, which are squares, so t^((p-1)/2) takes
-    one value on all three.
+    gcd(g, u^((p-1)/2) - 1).  A lane stays open until its shifts have
+    yielded two distinct roots r0 and r1; the third is -B - r0 - r1, since
+    the roots of a monic cubic sum to -B.  delta = 0 is skipped: it never
+    splits a pure cubic t^3 - c, whose roots differ by cube roots of unity,
+    which are squares, so t^((p-1)/2) takes one value on all three.
     """
-    r = np.full_like(p, -1)
+    r0, r1 = np.full_like(p, -1), np.full_like(p, -1)
     todo = np.arange(p.size)
     delta = 1
     while todo.size:
@@ -181,14 +123,14 @@ def _lane_split_roots(B, C, D, p):
                 g[j] = (g[j] + shift * g[j + 1]) % q
         w0, w1, w2 = _lane_pow_t((q - 1) // 2, g[2], g[1], g[0], q)
         x, found, _ = _lane_gcd_root(g[2], g[1], g[0], (w0 - 1) % q, w1, w2, q)
-        r[lane[found]] = (x[found] + shift[found]) % q[found]  # any root found serves
-        todo = todo[r[todo] < 0]
+        x = (x + shift) % q
+        first = found & (r0[lane] < 0)
+        r0[lane[first]] = x[first]  # any root found serves
+        second = found & (x != r0[lane])
+        r1[lane[second]] = x[second]
+        todo = todo[r1[todo] < 0]
         delta += _TRIES
-    e1 = (B + r) % p  # f / (t - r) = t^2 + e1*t + e0
-    e0 = (C + r * e1) % p
-    s = _lane_sqrt((e1 * e1 - 4 * e0) % p, p)
-    half = (p + 1) // 2
-    return r, (s - e1) * half % p, (-s - e1) * half % p
+    return r0, r1, (-B - r0 - r1) % p
 
 
 def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
@@ -197,14 +139,13 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     Returns (pair_p, pair_r), arrays with one entry per root, in the order
     of primes and sorted within each prime.  One lane per prime, all lanes
     in step: the roots are those of gcd(f, t^p - t), and where f divides
-    t^p - t, one Cantor-Zassenhaus step finds one of its three roots and
-    the quadratic formula the other two.  For p = 2, t^p - t has degree 2,
-    so it is never 0 mod f, and that step, which needs p odd, is not
-    reached.  A lane where p divides the leading coefficient solves the
-    cubic t^k * f instead and drops the root 0 it added unless f(0) = 0
-    mod p.  The lanes are int64 when every prime is below 2^31 and every
-    coefficient fits int64; otherwise they hold Python ints (object
-    dtype), exact at any size.
+    t^p - t, Cantor-Zassenhaus shifts find two of its three roots and their
+    sum the third.  For p = 2, t^p - t has degree 2, so it is never 0 mod
+    f, and that step, which needs p odd, is not reached.  A lane where p
+    divides the leading coefficient solves the cubic t^k * f instead and
+    drops the root 0 it added unless f(0) = 0 mod p.  The lanes are int64
+    when every prime is below 2^31 and every coefficient fits int64;
+    otherwise they hold Python ints (object dtype), exact at any size.
     """
     p = np.asarray(primes)
     wide = p.size and (int(p.max()) >= _LANE_LIMIT or any(abs(c) >> 63 for c in coeffs))
@@ -269,10 +210,9 @@ def splitting_type(coeffs, p: int, roots) -> tuple[list[tuple[int, int]], int]:
 
 def factor_cubic_mod_p(coeffs, p: int) -> tuple[list[tuple[int, int]], int]:
     """``splitting_type`` of a cubic mod p, with the roots from ``roots_mod_p``."""
-    f = poly_reduce(coeffs, p)
-    if len(f) != 4:
+    if coeffs[3] % p == 0:
         raise ValueError("factor_cubic_mod_p wants a cubic that stays cubic mod p")
-    return splitting_type(f, p, roots_mod_p(f, p))
+    return splitting_type(coeffs, p, roots_mod_p(coeffs, p))
 
 
 def hensel_lift_root(coeffs, p: int, r: int, k: int) -> int:

@@ -235,8 +235,10 @@ def check_postulates_123(
 
     Law 1 fixes g on prime powers (three cases by how the prime meets
     D0 and D1; the D1 case admits two branches and the observed one is
-    recorded).  Law 2 is multiplicativity across coprime norms, realized
-    here as an index identity between intersected lattices.  Law 3 kills
+    recorded).  Law 2 is multiplicativity across coprime norms: g, a
+    product over rational primes, has it by construction, so each row also
+    asks the lattices for the index identity
+    [Z^2:L(d1*d2)] = [Z^2:L(d1)] * [Z^2:L(d2)].  Law 3 kills
     any ideal containing two distinct primes over one rational prime.
     """
     if B > _POSTULATE_NORM_CAP:
@@ -285,7 +287,7 @@ def check_postulates_123(
                 okb = got in ("zero", "power") and prev in (None, got)
                 branches[repr(q)] = got
                 rows.append(ReportRow("1", name, val, "pass" if okb else "fail"))
-    # law 2 as an exact index identity on a bounded sample of coprime pairs
+    # law 2 with its exact index identity, on a bounded sample of coprime pairs
     sample = [q for q in primes if q.norm <= min(B, 60)][:10]
     for i, q1 in enumerate(sample):
         for q2 in sample[i + 1 :]:
@@ -295,12 +297,13 @@ def check_postulates_123(
                 d1, d2 = Ideal.prime(q1, a1), Ideal.prime(q2, a2)
                 lhs = model.g(d1 * d2)
                 rhs = model.g(d1) * model.g(d2)
+                i12, i1, i2 = (ideal_lattice(K, d).index for d in (d1 * d2, d1, d2))
                 rows.append(
                     ReportRow(
                         "2",
                         f"law2[{q1!r}^{a1},{q2!r}^{a2}]",
                         lhs,
-                        "pass" if lhs == rhs else "fail",
+                        "pass" if lhs == rhs and i12 == i1 * i2 else "fail",
                     )
                 )
     # law 3: distinct primes over one rational prime annihilate g

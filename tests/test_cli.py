@@ -134,6 +134,31 @@ def test_bad_config_contents_exit_2(tmp_path, capsys):
     assert main(["avg", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
 
 
+def test_config_threads_and_false_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("form=1,0,0,2\nalpha=mu\nregion=box:-1,1,-1,1\nN=10\nthreads=2\ncoprime_only=false\n")
+    assert main(["avg", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [HEADER, ROW_10]
+
+
+def test_sieve_corruption_exit_1(capsys, monkeypatch):
+    def corrupt(f, primes):
+        raise factor_sieve.SieveCorruptionError("planted")
+
+    monkeypatch.setattr(factor_sieve, "_root_table", corrupt)
+    assert main(AVG_ARGS) == EXIT_ASSERTION
+    assert capsys.readouterr().err == "chowla: assertion failure: planted\n"
+
+
+def test_large_constant_term_exit_3(capsys):
+    """The irreducibility test runs before the value guard and must not
+    scan the divisors of d near 10^16."""
+    argv = ["avg", "--form", "1,0,0,10000000000000061", "--alpha", "mu",
+            "--region", "box:-1,1,-1,1", "--N", "10"]
+    assert main(argv) == EXIT_RANGE
+    assert "arithmetic range" in capsys.readouterr().err
+
+
 def test_oversized_scale_exit_3(capsys):
     argv = [
         "avg",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -79,30 +80,44 @@ def test_irreducibility_flags_linear_factors():
     assert is_irreducible(BinaryCubicForm(1, 0, 0, 2))
     assert is_irreducible(BinaryCubicForm(1, -1, 0, 1))
     assert not is_irreducible(BinaryCubicForm(1, 0, 0, -8))  # x - 2y divides
-    assert not is_irreducible(BinaryCubicForm(1, 0, 0, 0))  # y divides
-    assert not is_irreducible(BinaryCubicForm(0, 1, 1, 1))  # degree drop: x divides
+    assert not is_irreducible(BinaryCubicForm(1, 0, 0, 0))  # x^3: x divides
+    assert not is_irreducible(BinaryCubicForm(0, 1, 1, 1))  # no x^3 term: y divides
     # (x + 2y)(x^2 - xy + 3y^2) = x^3 + x^2 y + x y^2 + 6 y^3
     assert not is_irreducible(BinaryCubicForm(1, 1, 1, 6))
 
 
+def _has_zero_line(f, reach: int) -> bool:
+    """Whether f vanishes at some (p, q) != (0, 0) with |p|, |q| <= reach:
+    every rational root p/q of f(t, 1) has p | d and q | a, and a == 0 or
+    d == 0 puts a zero at (1, 0) or (0, 1)."""
+    return any(f(p, q) == 0 for p in range(-reach, reach + 1) for q in range(reach + 1) if (p, q) != (0, 0))
+
+
 def test_irreducibility_vs_root_scan():
+    """Both ways: reducible exactly when the scan finds a rational zero line,
+    on every form with coefficients in [-3, 3] and on random ones in [-6, 6]."""
+    forms = [BinaryCubicForm(*c) for c in itertools.product(range(-3, 4), repeat=4) if any(c)]
+    assert sum(not _has_zero_line(f, 3) for f in forms) > 500
+    for f in forms:
+        assert is_irreducible(f) == (not _has_zero_line(f, 3)), f
     rng = random.Random(11)
     for _ in range(300):
-        f = BinaryCubicForm(
-            rng.randint(-6, 6) or 1,
-            rng.randint(-6, 6),
-            rng.randint(-6, 6),
-            rng.randint(-6, 6) or 1,
-        )
-        has_int_line = any(
-            f(p, q) == 0
-            for p in range(-12, 13)
-            for q in range(-12, 13)
-            if (p, q) != (0, 0)
-        )
-        if has_int_line:
-            # a rational zero line certainly means reducible
-            assert not is_irreducible(f)
+        f = BinaryCubicForm(*(rng.randint(-6, 6) for _ in range(4)))
+        assert is_irreducible(f) == (not _has_zero_line(f, 6)), f
+
+
+def test_irreducibility_at_large_coefficients():
+    """Coefficients past 2^50, where a scan of the divisors of d would not
+    end.  The irreducible ones have no root mod 7, so they are irreducible
+    mod 7 and over Q."""
+    assert is_irreducible(BinaryCubicForm(1, 0, 0, 10**16 + 61))
+    assert is_irreducible(BinaryCubicForm(1, 0, 0, 2**100 + 1))
+    # (x - R*y)(x^2 + x*y + y^2): the root R lies near 2^90
+    R = 2**90 + 12345
+    assert not is_irreducible(BinaryCubicForm(1, 1 - R, 1 - R, -R))
+    # (3x - R*y)(x^2 + y^2): the root R/3 is not an integer
+    assert not is_irreducible(BinaryCubicForm(3, -R, 3, -R))
+    assert is_irreducible(BinaryCubicForm(3, -R, 3, 1 - R))
 
 
 def test_parse_form():

@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from chowla.polymod import roots_mod_p, roots_mod_primes
+from chowla.polymod import factor_cubic_mod_p, roots_mod_p, roots_mod_primes
 from chowla.primes import is_prime
 
 from helpers import scalar_roots_mod_p, simple_primes
@@ -47,7 +48,7 @@ def _cases(p: int, rng: random.Random) -> list[list[int]]:
 _SMALL = [p for p in simple_primes(97) if p >= 3]
 _NEAR_3000 = [p for p in simple_primes(3089) if p >= 2903]
 _NEAR_1E5 = [99961, 99971, 99989, 99991, 100003, 100019]
-# p = 1 mod 2^9 ... 2^16: square roots take the long Tonelli-Shanks loop
+# p = 1 mod 2^9 ... 2^16, where p - 1 is highly even
 _DEEP_2ADIC = [7681, 12289, 40961, 65537]
 
 
@@ -65,6 +66,19 @@ def test_roots_mod_p_vs_scan(p):
         want = _scan(coeffs, p)
         assert roots_mod_p(coeffs, p) == want, coeffs
         assert _lanes(coeffs, [p]) == ([p] * len(want), want), coeffs
+
+
+def test_split_cubics_vs_scan_to_19():
+    """Every monic cubic with three distinct roots mod each prime up to 19:
+    the lanes need two distinct roots from the shifts, and the sum gives
+    the third."""
+    calls = 0
+    for p in simple_primes(19):
+        for roots in itertools.combinations(range(p), 3):
+            coeffs = _from_roots(roots)
+            assert roots_mod_p(coeffs, p) == _scan(coeffs, p) == list(roots), (p, roots)
+            calls += 1
+    assert calls == 2146
 
 
 def test_roots_mod_2_vs_scan():
@@ -122,6 +136,12 @@ def test_roots_mod_p_vs_scalar_past_int64_lanes(p):
         roots, lead = rng.sample(range(p), 3), rng.randint(1, p - 1)
         for f in (coeffs, _from_roots(roots, lead), _from_roots(roots[:2], lead) + [p]):
             assert roots_mod_p(f, p) == scalar_roots_mod_p(f, p), f
+
+
+def test_factor_cubic_mod_p_wants_a_cubic_mod_p():
+    assert factor_cubic_mod_p([1, 0, 0, 1], 5) == ([(4, 1)], 2)
+    with pytest.raises(ValueError, match="stays cubic"):
+        factor_cubic_mod_p([1, 0, 0, 5], 5)
 
 
 @pytest.mark.parametrize("p", [5, 2999, 3001, 99991])

@@ -19,6 +19,7 @@ from chowla import (
 )
 from chowla.ideal_arith import Ideal, PrimeIdeal, norm
 from chowla.postulates import A, A_d, ReportRow, remainder
+from chowla.region_lattice import RowForm
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,16 @@ def test_density_laws_hold(form_text, coset_text, n_rows, branches):
     # primes under D0 are excused from law 1, with the reason recorded
     excused = {p for p, _ in report.skipped}
     assert all(seq.D0 % p == 0 for p in excused)
+
+
+def test_law2_checks_the_lattices(K2, seq_small, monkeypatch):
+    """g is multiplicative by construction, so law 2 must also fail when the
+    lattices are wrong: an intersection that drops its first operand's
+    congruence fails a law-2 row."""
+    assert all(r.status == "pass" for r in check_postulates_123(seq_small, DensityModel(K2), 60).rows)
+    monkeypatch.setattr(RowForm, "intersect", lambda self, other: other)
+    rows = check_postulates_123(seq_small, DensityModel(K2), 60).rows
+    assert any(r.postulate == "2" and r.status == "fail" for r in rows)
 
 
 def test_postulate_norm_cap(K2, seq_small):

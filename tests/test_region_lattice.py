@@ -280,6 +280,10 @@ def test_parse_region_round_trip():
     assert P.kind == "poly"
     with pytest.raises(ValueError):
         parse_region("box:1,2,3")
+    with pytest.raises(ValueError, match="disc wants three numbers"):
+        parse_region("disc:0,0")
+    with pytest.raises(ValueError, match="bad polygon vertex"):
+        parse_region("poly:0,0;4;0,4")
     with pytest.raises(ValueError):
         parse_region("blob:1,2,3,4")
 
@@ -290,6 +294,7 @@ def test_parse_coset():
     assert L.contains(3, 3) and not L.contains(3, 1)  # x = y mod 5
     L2 = parse_coset("coset:2,0,1,2;1,0")
     assert L2.index == 4
+    assert parse_coset("coset:5,0,1,1") == L  # no offset: the lattice itself
     with pytest.raises(ValueError):
         parse_coset("coset:1,2,3;0,0")
     with pytest.raises(ValueError, match="coset basis is singular"):
