@@ -18,17 +18,19 @@ itself.  A column past the box gets no value.
 Striking works line by line: for p not dividing y, the zero locus of f mod p
 is a union of lines x = r*y with f(r, 1) = 0 mod p, which in a stored row is
 i = a^-1*(r*y - x_y) (mod p), or the whole row or none when p | a; rows
-p | y are covered wholesale when p divides the leading coefficient and
-through the (p|x, p|y) sublattice otherwise.  The three strike families are
-disjoint by construction.  Primes below the stored width, and those
-dividing a, strike their lines row by row.  A prime at or past the width
-meets each row at most once, so its lines are walked instead: the coset
-points of a line x = r*y (mod p) form the lattice x = X + B*t (mod a*p)
-over the stored rows t, and each goes from hit to hit through the box's
-columns along a reduced basis, all (p, r) pairs of a band in step.  The
-three come out of one strike stream that leaves out the origin, where
-f(0, 0) = 0, into one divide-out that checks each set before it divides:
-a wrong root, lead or walk raises SieveCorruptionError.
+p | y, where f = lead*x^3 (mod p), are struck whole when p | lead and at
+p | x otherwise.  Primes below the stored width, and those dividing f's
+lead, a or c, strike row by row.  Any other prime meets each row at most
+once: its rows p | y strike one column each, and its lines are walked: the
+coset points of a line x = r*y (mod p) form the lattice x = X + B*t
+(mod a*p) over the stored rows t, and each goes from hit to hit through
+the box's columns along a reduced basis, all (p, r) pairs of a band in
+step.  These three families are disjoint and come out of one stream that
+leaves out the origin, where f(0, 0) = 0, into one divide-out that checks
+each set before it divides: a wrong root, lead or walk raises
+SieveCorruptionError.  The stream builds the cells p | gcd(x, y) of every
+prime up to the half-width, so it clears a coprime-only mask with no pass
+of its own.
 
 A cubic form is odd, f(-x, -y) = -f(x, y), so a parity-path grid closed
 under negation, every region and the coset alike (an exact test on their
@@ -124,26 +126,25 @@ def _divide_out(cof: np.ndarray, idx: np.ndarray, p) -> np.ndarray:
 
 
 class _ParityCounts:
-    """omega, Omega and squarefreeness per cofactor slot, fed strike by strike."""
+    """omega and Omega per cofactor slot, fed strike by strike."""
 
     def __init__(self, size: int):
         self.small_omega = np.zeros(size, dtype=np.uint8)
         self.big_omega = np.zeros(size, dtype=np.uint8)
-        self.squarefree = np.ones(size, dtype=bool)
 
     def add(self, idx: np.ndarray, p, exps: np.ndarray) -> None:
         # ufunc.at counts a repeated cell once per entry; uint8 operands
         # keep it on numpy's fast path
         np.add.at(self.small_omega, idx, np.uint8(1))
         np.add.at(self.big_omega, idx, exps)
-        self.squarefree[idx[exps > 1]] = False
 
     def channels(self, cof: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mu, lambda, omega-sign) int8 arrays, counting a leftover cofactor
-        > 1 as one more prime to the first power."""
+        > 1 as one more prime to the first power.  Every exponent is 1,
+        and mu nonzero, exactly when Omega = omega."""
         rest = cof > 1
         odd_omega = ((self.small_omega + rest) & 1).astype(np.int8)
-        mu_arr = np.where(self.squarefree, 1 - 2 * odd_omega, 0).astype(np.int8)
+        mu_arr = np.where(self.big_omega == self.small_omega, 1 - 2 * odd_omega, 0).astype(np.int8)
         lam_arr = (1 - 2 * ((self.big_omega + rest) & 1)).astype(np.int8)
         omg_arr = (1 - 2 * odd_omega).astype(np.int8)
         return mu_arr, lam_arr, omg_arr
@@ -453,7 +454,9 @@ def _line_hits(offs: np.ndarray, row_base: np.ndarray, widths: np.ndarray, p: in
     counts = (widths - offs + p - 1) // p
     kmax = int(counts.max()) if counts.size else 0
     lattice = offs[:, None] + p * np.arange(kmax, dtype=np.int64)[None, :]
-    return (row_base[:, None] + lattice)[lattice < widths[:, None]]
+    keep = lattice < widths[:, None]
+    lattice += row_base[:, None]
+    return lattice[keep]
 
 
 def _whole_rows(rows: _Band) -> np.ndarray:
@@ -464,36 +467,38 @@ def _whole_rows(rows: _Band) -> np.ndarray:
 def _congruent_cells(rows: _Band, t, p: int, ainv: Optional[int]) -> np.ndarray:
     """Flat indices of the cells x = t (mod p) of the rows, t one per row or
     one for all.  ainv is a^-1 mod p, which puts them every p columns from
-    i = ainv*(t - xs) (mod p); when p | a (ainv None) a row holds all of
-    its cells or none."""
+    i = ainv*(t - xs) (mod p), t - xs reduced first so that the product
+    stays below p^2 < 2^62; when p | a (ainv None) a row holds all of its
+    cells or none."""
     if ainv is None:
         return _whole_rows(rows.select((t - rows.xs) % p == 0))
-    return _line_hits((t - rows.xs) * ainv % p, rows.base, rows.ns, p)
+    return _line_hits((t - rows.xs) % p * ainv % p, rows.base, rows.ns, p)
 
 
-def _divisor_rows(table: "_StrikeTable", band: _Band):
+def _cleared(mask: Optional[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """idx, with mask (if any) cleared at it."""
+    if mask is not None:
+        mask[idx] = False
+    return idx
+
+
+def _divisor_rows(table: "_StrikeTable", band: _Band, mask: Optional[np.ndarray]):
     """Flat band indices, and the prime of each, of the cells in rows p | y
-    for the walked primes p: the whole row when p divides f's lead, else
-    the one column p | x if the row holds it."""
+    for the walked primes p, which divide neither f's lead nor a: the one
+    column p | x if the row holds it.  These are the cells p | gcd(x, y),
+    and mask, if given, is cleared at them."""
     p = table.primes
-    # band row k lies at y = y[0] + c*k: p | y every p rows from
-    # k = -y[0]/c (mod p), or, when p | c, on every row or on none
-    by_c = table.cinv == 0
-    first = np.where(by_c, 0, (-band.y[0]) % p * table.cinv % p)
-    step = np.where(by_c, 1, p)
-    count = np.maximum((band.rows - 1 - first) // step + 1, 0)
-    count[by_c & (band.y[0] % p != 0)] = 0
+    # band row k lies at y = y[0] + c*k: p | y every p rows from k = -y[0]/c (mod p)
+    first = (-band.y[0]) % p * table.cinv % p
+    count = np.maximum((band.rows - 1 - first) // p + 1, 0)
     which = np.repeat(np.arange(p.size), count)
-    k = first[which] + step[which] * (np.arange(which.size) - np.repeat(np.cumsum(count) - count, count))
     q = p[which]
-    whole = table.lead[which]
-    lead_rows, rows, q1 = band.select(k[whole]), band.select(k[~whole]), q[~whole]
-    col = (-rows.xs) % q1 * table.ainv[which][~whole] % q1
-    on = col < rows.ns
-    idx = np.concatenate([_whole_rows(lead_rows), (rows.base + col)[on]])
-    q = np.concatenate([np.repeat(q[whole], lead_rows.ns), q1[on]])
-    keep = idx != band.origin  # f(0, 0) = 0 lies in every row p | y
-    return idx[keep], q[keep]
+    k = first[which] + q * (np.arange(which.size) - np.repeat(np.cumsum(count) - count, count))
+    rows = band.select(k)
+    col = (-rows.xs) % q * table.ainv[which] % q
+    idx = rows.base + col
+    keep = (col < rows.ns) & (idx != band.origin)  # f(0, 0) = 0 lies in every row p | y
+    return _cleared(mask, idx[keep]), q[keep]
 
 
 def _walk(spec: GridSpec, table: "_StrikeTable", band: _Band):
@@ -519,18 +524,17 @@ class _StrikeTable:
 
     small: (p, roots, p | f's lead, a^-1 mod p or None when p | a) per
     prime struck row by row: those below the stored width, and those
-    dividing the coset's a;
-    primes, lead, ainv, cinv: the other primes, whether each divides f's
-    lead, a^-1 and c^-1 mod each (cinv 0 when p | c);
+    dividing f's lead, the coset's a or its c;
+    primes, ainv, cinv: the other primes, walked, with a^-1 and c^-1 mod
+    each;
     roots, root_ainv, lattices: their (p, r) pairs, r a root, with a^-1 mod
     p, and the lattices coset & {x = r*y (mod p)} they take from stored row
-    to stored row, walked.
+    to stored row.
     """
 
     depth: int
     small: list
     primes: np.ndarray
-    lead: np.ndarray
     ainv: np.ndarray
     cinv: np.ndarray
     roots: np.ndarray
@@ -539,10 +543,10 @@ class _StrikeTable:
 
 
 def _inverses(x: int, primes: np.ndarray) -> np.ndarray:
-    """x^-1 mod each prime, 0 where it divides x."""
+    """x^-1 mod each prime, none of which divides x."""
     if x == 1 or not primes.size:
         return np.ones_like(primes)
-    return np.where(x % primes == 0, 0, _lane_pow(np.full_like(primes, x), primes - 2, primes))
+    return _lane_pow(np.full_like(primes, x), primes - 2, primes)
 
 
 def _strike_table(spec: GridSpec) -> _StrikeTable:
@@ -550,7 +554,7 @@ def _strike_table(spec: GridSpec) -> _StrikeTable:
     primes = primes_up_to(depth)
     pair_p, pair_r = _root_table(spec.form, primes)
     L, width, lead = spec.lattice, spec.stored_width, spec.form.a
-    by_row = (primes < width) | (L.a % primes == 0)
+    by_row = (primes < width) | (lead % primes == 0) | (L.a % primes == 0) | (L.c % primes == 0)
     small = []
     for p in primes[by_row].tolist():
         lo, hi = np.searchsorted(pair_p, [p, p + 1])
@@ -559,23 +563,22 @@ def _strike_table(spec: GridSpec) -> _StrikeTable:
     if large.size and L.a * int(large[-1]) >= _INT64_GUARD:
         raise ExactRangeError(f"coset step {L.a} is past the exact 64-bit lattice walk")
     ainv = _inverses(L.a, large)
-    walked = (pair_p >= width) & (L.a % pair_p != 0)
+    walked = np.isin(pair_p, large)
     p, r = pair_p[walked], pair_r[walked]
     r_ainv = ainv[np.searchsorted(large, p)]
     # the step in x from stored row to stored row: b (mod a), r*c (mod p)
     step = L.b + L.a * ((r * (L.c % p) - L.b) % p * r_ainv % p)
-    return _StrikeTable(
-        depth, small, large, lead % large == 0, ainv, _inverses(L.c, large),
-        r, r_ainv, _reduced_lattices(L.a * p, step, spec.width),
-    )
+    lattices = _reduced_lattices(L.a * p, step, spec.width)
+    return _StrikeTable(depth, small, large, ainv, _inverses(L.c, large), r, r_ainv, lattices)
 
 
-def _strike_sets(spec: GridSpec, table: _StrikeTable, band: _Band):
+def _strike_sets(spec: GridSpec, table: _StrikeTable, band: _Band, mask: Optional[np.ndarray]):
     """Every (idx, p) the band is struck with, p one prime or one per
     index: each row-struck prime's root lines and rows p | y, then the
     walked primes' rows p | y and their lines.  The sets are disjoint and
-    leave out the origin, f(0, 0) = 0.  No name here holds a set while the
-    caller divides it, so no two sets are alive at once."""
+    leave out the origin, f(0, 0) = 0.  mask, if given, is cleared at the
+    cells p | gcd(x, y): the cells p | x of the rows p | y.  No name here
+    holds a set while the caller divides it, so no two sets are alive at once."""
     for p, roots, p_div_lead, ainv in table.small:
         off = band.y % p != 0  # rows with p not dividing y
         if roots:
@@ -583,9 +586,13 @@ def _strike_sets(spec: GridSpec, table: _StrikeTable, band: _Band):
             for r in roots:
                 yield _congruent_cells(rows, r * rows.y, p, ainv), p
         rows = band.select(~off)
-        if rows.rows:
-            yield band.off_origin(_whole_rows(rows) if p_div_lead else _congruent_cells(rows, 0, p, ainv)), p
-    yield _divisor_rows(table, band)
+        if rows.rows and p_div_lead:
+            if mask is not None:  # f = 0 (mod p) on the whole row, p | gcd(x, y) at p | x
+                mask[_congruent_cells(rows, 0, p, ainv)] = False
+            yield band.off_origin(_whole_rows(rows)), p
+        elif rows.rows:
+            yield _cleared(mask, band.off_origin(_congruent_cells(rows, 0, p, ainv))), p
+    yield _divisor_rows(table, band, mask)
     yield from _walk(spec, table, band)
 
 
@@ -611,18 +618,6 @@ def _inside(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
     """The (rows, width) mask of the columns lo..hi of each row."""
     cols = np.arange(width, dtype=np.int64)
     return (cols >= lo[:, None]) & (cols <= hi[:, None])
-
-
-def _coprime_mask(spec: GridSpec, band: _Band) -> np.ndarray:
-    """gcd(x, y) = 1 mask over the band's cells by striking shared prime
-    divisors; exact."""
-    a = spec.lattice.a
-    mask = np.ones(band.rows * band.width, dtype=bool)
-    for p in primes_up_to(spec.half_width).tolist():
-        rows = band.select(band.y % p == 0)
-        if rows.rows:
-            mask[_congruent_cells(rows, 0, p, pow(a, -1, p) if a % p else None)] = False
-    return mask
 
 
 def _band_values(spec: GridSpec, band: _Band) -> np.ndarray:
@@ -653,14 +648,12 @@ def _sieve_band(spec: GridSpec, table: _StrikeTable, band: _Band, cof: np.ndarra
     _divide_out has checked it.  Zero values (the origin, the one zero of
     an irreducible form, and the cells past xmax) get cofactor 1, so a
     strike there raises.  Returns the mask of the cells to count: the
-    nonzero values, coprime ones only if the spec says so; the region is
-    left to the reductions."""
+    nonzero values, coprime ones only if the spec says so, which the strike
+    clears as it goes; the region is left to the reductions."""
     mask = cof != 0
     np.maximum(cof, 1, out=cof)
-    for idx, p in _strike_sets(spec, table, band):
+    for idx, p in _strike_sets(spec, table, band, mask if spec.coprime_only else None):
         visit(idx, p, _divide_out(cof, idx, p))
-    if spec.coprime_only:
-        mask &= _coprime_mask(spec, band)
     return mask
 
 

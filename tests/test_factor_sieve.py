@@ -53,6 +53,11 @@ def test_zero_rejected():
         parities(0)
 
 
+def test_parity_range_wants_a_positive_limit():
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        parity_range(0)
+
+
 def test_parity_range_against_spf_oracle():
     limit = 100_000
     got_mu, got_lam, got_omg = parity_range(limit)
@@ -285,6 +290,11 @@ def test_keep_arrays_on_empty_region(monkeypatch):
     _no_sieve(monkeypatch)
     grid = parity_grid(F2, ConvexRegion.box(Fraction(1, 4), Fraction(3, 4), 0, 5), keep_arrays=True)
     assert (grid.points, grid.mu_sum, grid.lam_sum, grid.omg_sum) == (0, 0, 0, 0)
+
+
+def test_sieve_grid_on_empty_region(monkeypatch):
+    _no_sieve(monkeypatch)
+    assert sieve_grid(F2, ConvexRegion.box(Fraction(1, 4), Fraction(3, 4), 0, 5)) == {}
 
 
 def test_sum_channels():
@@ -592,15 +602,20 @@ def test_walked_primes_vs_trial_division(case, monkeypatch):
 def test_prime_dividing_lead_and_row_exact_edge(monkeypatch):
     """p | a and p | y: f(x, y) = a*x^3 (mod p), so the whole row is struck.
 
-    a = 2 * 7 * 1009 on a strip 7 wide and rows -51..51: 1009 is walked and
-    strikes the row y = 0 whole; 7 = width is walked and strikes the rows
-    y = +-7, +-14, ...; 2 is struck row by row on every even row.  The
-    half-width 51 puts 1009 under the square root of the value bound, so the
-    factor table strikes it too."""
+    a = 2 * 7 * 1009 on a strip 7 wide and rows -51..51: 1009 strikes the
+    row y = 0 whole, 7 = width the rows y = +-7, +-14, ... and 2 every even
+    row.  All three are struck row by row, though 7 and 1009 are at or past
+    the width: no walked prime divides f's lead.  The half-width 51 puts
+    1009 under the square root of the value bound, so the factor table
+    strikes it too."""
     f = BinaryCubicForm(2 * 7 * 1009, 1, -3, 2)
     assert is_irreducible(f)
     S = ConvexRegion.box(-3, 3, -51, 51)
-    assert math.isqrt(factor_sieve._value_bound(factor_sieve._make_spec(f, S, None, False))) > 1009
+    spec = factor_sieve._make_spec(f, S, None, False)
+    assert math.isqrt(factor_sieve._value_bound(spec)) > 1009 and spec.stored_width == 7
+    table = factor_sieve._strike_table(spec)
+    assert {2, 7, 1009} <= {p for p, *_ in table.small}
+    assert not {7, 1009} & set(table.primes.tolist()) and table.primes.size
     _check_grid(f, S)
     monkeypatch.setattr(factor_sieve, "_BAND_CELLS", 4 * 7)
     _check_grid(f, S)
@@ -635,6 +650,50 @@ def test_primes_dividing_the_coset_step():
     assert 41 <= math.isqrt(factor_sieve._value_bound(spec))
     _check_grid(spec.form, spec.region, L)
     _check_grid(spec.form, spec.region, L, coprime=True)
+
+
+def test_prime_of_the_row_modulus_past_the_width():
+    """c = 37 on a box 21 wide: 37 | c is struck row by row, though it is
+    past the stored width, and strikes every stored row (y0 = 0) or none.
+    Both against trial division and the coset oracle, coprime only and
+    not, for a = 1 and a = 2."""
+    f = BinaryCubicForm(3, -1, 2, -5)
+    S = ConvexRegion.box(-10, 10, -150, 150)
+    for basis in (((1, 0), (0, 37)), ((2, 1), (0, 37))):
+        for offset in ((0, 0), (1, 0), (3, 5)):
+            L, spec = _layout(f, S, basis, offset)
+            assert spec.lattice.c == 37 and spec.stored_width <= 21
+            table = factor_sieve._strike_table(spec)
+            assert 37 in {p for p, *_ in table.small} and 37 not in table.primes.tolist()
+            assert table.primes.size  # some primes are walked
+            for coprime in (False, True):
+                _check_grid(f, S, L, coprime)
+
+
+def test_congruent_cells_past_the_int64_products():
+    """A prime struck row by row because it divides f's lead or c may lie
+    near the depth, below 2^31, in rows |y| up to 2^20: t - x_y, here t =
+    r*y, is reduced mod p before it is multiplied by a^-1, where the
+    unreduced product passes 2^63.  A grid inside the value guard gets
+    there only at a depth past 10^7, whose root table alone takes seconds,
+    so the rows are built here; each row's r puts a hit at a chosen
+    column, and the cells are checked against x = t (mod p) on Python
+    ints."""
+    p, a = 2_147_483_629, 3  # the largest prime below 2^31
+    ainv = pow(a, -1, p)
+    rng = random.Random(31)
+    y = np.array([2**20 - k for k in range(12)], dtype=np.int64)
+    xs = np.array([rng.randint(-40, 0) for _ in y], dtype=np.int64)
+    width = 9
+    base = np.arange(y.size, dtype=np.int64) * width
+    rows = factor_sieve._Band(y, xs, np.full(y.size, width, dtype=np.int64), base, width, -1)
+    cols = [rng.randrange(width + 3) for _ in y]  # a column past the row is no hit
+    r = [(int(x) + a * i) * pow(int(v), -1, p) % p for x, v, i in zip(xs, y, cols)]
+    t = np.array(r, dtype=np.int64) * y
+    assert max((int(v) - int(x)) * ainv for v, x in zip(t, xs)) >= 1 << 63
+    want = [k * width + i for k in range(y.size) for i in range(width) if (int(xs[k]) + a * i - int(t[k])) % p == 0]
+    assert want == [k * width + i for k, i in enumerate(cols) if i < width]
+    assert factor_sieve._congruent_cells(rows, t, p, ainv).tolist() == want
 
 
 def test_stored_width_one_with_empty_rows():
@@ -747,26 +806,27 @@ def test_shifted_root_below_the_width_raises(monkeypatch):
             run(F2, S)
 
 
-def test_wrong_lead_for_a_walked_prime_raises(monkeypatch):
-    """A walked prime taken to divide f's lead strikes its rows p | y whole,
-    where f = x^3 (mod p) is not 0 off p | x: the divisor rows raise on both
+def test_wrong_lead_for_a_row_struck_prime_raises(monkeypatch):
+    """A prime taken to divide f's lead strikes its rows p | y whole, where
+    f = x^3 (mod p) is not 0 off p | x: its row-struck sets raise on both
     paths, before the walk."""
     strike_table = factor_sieve._strike_table
 
     def flipped(spec):
         table = strike_table(spec)
-        k = int(np.searchsorted(table.primes, 23))
-        assert table.primes[k] == 23 and not table.lead[k]
-        lead = table.lead.copy()
-        lead[k] = True
-        return replace(table, lead=lead)
+        small = list(table.small)
+        k = [p for p, *_ in small].index(17)
+        p, roots, p_div_lead, ainv = small[k]
+        assert not p_div_lead
+        small[k] = (p, roots, True, ainv)
+        return replace(table, small=small)
 
     def refuse(spec, table, band):
-        raise AssertionError("walked before the divisor rows raised")
+        raise AssertionError("walked before the row-struck sets raised")
         yield
 
-    S = ConvexRegion.box(-9, 9, -60, 60)  # rows y = 0, +-23, +-46
-    assert factor_sieve._make_spec(F2, S, None, False).stored_width < 23
+    S = ConvexRegion.box(-9, 9, -60, 60)  # rows y = 0, +-17, +-34, +-51
+    assert factor_sieve._make_spec(F2, S, None, False).stored_width > 17
     monkeypatch.setattr(factor_sieve, "_strike_table", flipped)
     monkeypatch.setattr(factor_sieve, "_walk", refuse)
     for run in (parity_grid, sieve_grid):
@@ -795,8 +855,8 @@ def test_no_strike_set_holds_the_origin(case, monkeypatch):
     strike_sets = factor_sieve._strike_sets
     row_0 = []
 
-    def check(spec, table, band):
-        for idx, p in strike_sets(spec, table, band):
+    def check(spec, table, band, mask):
+        for idx, p in strike_sets(spec, table, band, mask):
             row, col = np.divmod(idx, band.width)
             x, y = band.xs[row] + spec.lattice.a * col, band.y[row]
             assert not np.any((x == 0) & (y == 0)), p
