@@ -21,14 +21,14 @@ from typing import Optional, Sequence
 
 from .cubic_form import ExactRangeError, parse_form
 from .experiments import (
-    CSV_HEADER,
     ExperimentConfig,
     canonical_alpha,
     convergence_table,
+    write_table,
 )
 from .factor_sieve import SieveCorruptionError
 from .region_lattice import parse_coset, parse_region
-from .verify import SUITES, run_suite
+from .verify import run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -136,21 +136,14 @@ def _run_avg(args: argparse.Namespace) -> int:
         coprime_only=bool(args.coprime_only),
         epsilon=args.eps if args.eps is not None else 1.0,
         threads=args.threads if args.threads is not None else 1,
-        out=args.out,
     )
-    rows = convergence_table(cfg)
-    if cfg.out is None:
-        print(CSV_HEADER)
-        for row in rows:
-            print(row.csv())
+    write_table(args.out, convergence_table(cfg))
     return EXIT_OK
 
 
 def _run_verify(args: argparse.Namespace) -> int:
     _merge_config(args)
     _require(args, "suite")
-    if args.suite not in SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
     out_dir = args.out if args.out is not None else "verify_reports"
     return run_suite(args.suite, out_dir=out_dir, echo=print)
 

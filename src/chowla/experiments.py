@@ -19,6 +19,7 @@ other row twice: f(-x, -y) = -f(x, y) has the same parities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,7 +94,6 @@ class ExperimentConfig:
     coprime_only: bool = False
     epsilon: float = 1.0
     threads: int = 1
-    out: Optional[str] = None
 
     def __post_init__(self):
         self.alpha = canonical_alpha(self.alpha)
@@ -136,15 +136,15 @@ def convergence_table(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     """Every row of the schedule; one sieve if the unit region holds the
     origin (then N*S lies in N_max*S), else one sieve per row."""
     if cfg.region.contains(0, 0):
-        rows = _rows(cfg, cfg.N_list)
-    else:
-        rows = [chowla_average(cfg, N) for N in cfg.N_list]
-    if cfg.out is not None:
-        write_table(cfg.out, rows)
-    return rows
+        return _rows(cfg, cfg.N_list)
+    return [chowla_average(cfg, N) for N in cfg.N_list]
 
 
-def write_table(path: str, rows: Sequence[ConvergenceRow]) -> None:
-    lines = [CSV_HEADER] + [r.csv() for r in rows]
+def write_table(path: Optional[str], rows: Sequence[ConvergenceRow]) -> None:
+    """The CSV table of rows, to the file at path, or to stdout if path is None."""
+    text = "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

@@ -689,14 +689,11 @@ def _sieve_band_parity(spec: GridSpec, table: _StrikeTable, band: _Band, regions
 
 def _scatter(spec: GridSpec, band: _Band, grid: np.ndarray, box: np.ndarray) -> None:
     """Write a band's (rows, stored width) grid into the (height, width)
-    box array, class by class of its rows mod spec.period: each is a
-    strided slice of the box."""
-    a, dy = spec.lattice.a, spec.lattice.c * spec.period
-    for k0 in range(min(spec.period, band.rows)):
-        part = grid[k0 :: spec.period, : band.ns[k0]]
-        if part.size:
-            y, x = int(band.y[k0]) - spec.ymin, int(band.xs[k0]) - spec.xmin
-            box[y : y + dy * (part.shape[0] - 1) + 1 : dy, x : x + a * (part.shape[1] - 1) + 1 : a] = part
+    box array, row by row: stored row k is box row y[k] from column xs[k]
+    on, every a-th column."""
+    a = spec.lattice.a
+    for k, (y, x, n) in enumerate(zip(band.y.tolist(), band.xs.tolist(), band.ns.tolist())):
+        box[y - spec.ymin, x - spec.xmin :: a][:n] = grid[k, :n]
 
 
 def _bands(spec: GridSpec) -> list[_Band]:

@@ -9,8 +9,11 @@ rational arithmetic on coset indices; an empty restriction has density 0.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 from .factor_sieve import sieve_grid
@@ -48,28 +51,20 @@ class SequenceAF:
     points: int  # primitive points with nonzero value, quarantined included
     quarantine: list  # points whose value meets an index-risk prime
 
-    _sorted_norms: Optional[list] = None
-    _by_prime: Optional[dict] = None  # PrimeIdeal -> the support ideals it divides
+    @cached_property
+    def _norm_counts(self) -> tuple[list, list]:
+        """The support's norms in order, and the count of points up to each."""
+        pairs = sorted((norm(a), c) for a, c in self.support.items())
+        return [nm for nm, _ in pairs], list(accumulate(c for _, c in pairs))
 
-    def _norm_table(self):
-        if self._sorted_norms is None:
-            pairs = sorted((norm(a), c) for a, c in self.support.items())
-            acc = 0
-            table = []
-            for nm, c in pairs:
-                acc += c
-                table.append((nm, acc))
-            self._sorted_norms = table
-        return self._sorted_norms
-
-    def _prime_index(self) -> dict:
-        if self._by_prime is None:
-            index: dict = {}
-            for a in self.support:
-                for q, _ in a.factors:
-                    index.setdefault(q, []).append(a)
-            self._by_prime = index
-        return self._by_prime
+    @cached_property
+    def _by_prime(self) -> dict:
+        """PrimeIdeal -> the support ideals it divides."""
+        index: dict = {}
+        for a in self.support:
+            for q, _ in a.factors:
+                index.setdefault(q, []).append(a)
+        return index
 
 
 def build_sequence(
@@ -108,15 +103,9 @@ def build_sequence(
 
 def A(seq: SequenceAF, t) -> int:
     """Count of points whose ideal has norm at most t."""
-    table = seq._norm_table()
-    lo, hi = 0, len(table)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if table[mid][0] <= t:
-            lo = mid + 1
-        else:
-            hi = mid
-    return table[lo - 1][1] if lo else 0
+    norms, counts = seq._norm_counts
+    i = bisect_right(norms, t)
+    return counts[i - 1] if i else 0
 
 
 def A_d(seq: SequenceAF, d: Ideal, t) -> int:
@@ -124,7 +113,7 @@ def A_d(seq: SequenceAF, d: Ideal, t) -> int:
     if d.is_unit:
         return A(seq, t)
     # every multiple of d is listed under d's first prime
-    candidates = seq._prime_index().get(d.factors[0][0], ())
+    candidates = seq._by_prime.get(d.factors[0][0], ())
     return sum(
         seq.support[a] for a in candidates if norm(a) <= t and d.divides(a)
     )
@@ -256,14 +245,11 @@ def check_postulates_123(
     for q in primes:
         p = q.p
         nq = q.norm
-        if D0 % p == 0 and D1 % p == 0:
-            silent.add(p)
-            skipped.append((p, "divides both D0 and D1"))
-            continue
         if D0 % p == 0:
             if p not in silent:
                 silent.add(p)
-                skipped.append((p, "divides D0; law 1 silent"))
+                reason = "divides both D0 and D1" if D1 % p == 0 else "divides D0; law 1 silent"
+                skipped.append((p, reason))
             continue
         for alpha in (1, 2):
             d = Ideal.prime(q, alpha)

@@ -9,6 +9,7 @@ exact combinatorics, never an analytic estimate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -42,6 +43,35 @@ def default_depth(cut) -> int:
     return depth + (depth % 2)
 
 
+def _truncated_mobius(units, norms, cut, depth: int, one, times) -> dict:
+    """Mobius weights truncated at an even number of prime factors.
+
+    one, the empty product, weighs 1; each product of distinct units, taken
+    in order, with at most depth factors and norm at most cut weighs minus
+    the product without its last unit.  The norms need not ascend (prime
+    ideals sort by (p, tag)), so a unit past the cut is skipped, not a stop.
+    """
+    if depth % 2 or depth < 0:
+        raise ValueError("upper-bound sieve needs an even truncation depth")
+    weights = {one: 1}
+
+    def extend(start: int, d, nd, size: int) -> None:
+        if len(weights) > _WEIGHT_CAP:
+            raise ValueError("weight table too large; lower the depth or cut")
+        if size == depth:
+            return
+        for i in range(start, len(units)):
+            nn = nd * norms[i]
+            if nn > cut:
+                continue
+            e = times(d, units[i])
+            weights[e] = -weights[d]
+            extend(i + 1, e, nn, size + 1)
+
+    extend(0, one, 1, 0)
+    return weights
+
+
 def brun_pure_weights(
     P: Iterable[PrimeIdeal],
     cut,
@@ -56,26 +86,12 @@ def brun_pure_weights(
     primes = sorted(set(P))
     if depth is None:
         depth = default_depth(cut if math.isfinite(float(cut)) else 1e6)
-    if depth % 2 or depth < 0:
-        raise ValueError("upper-bound sieve needs an even truncation depth")
     lower_gap = min((q.norm for q in primes), default=2) - 1
-    weights: dict[Ideal, int] = {Ideal.unit(): 1}
-
-    def extend(start: int, ideal: Ideal, nrm: int, size: int) -> None:
-        if len(weights) > _WEIGHT_CAP:
-            raise ValueError("weight table too large; lower the depth or cut")
-        for i in range(start, len(primes)):
-            q = primes[i]
-            nn = nrm * q.norm
-            if nn > cut:
-                continue
-            if size + 1 > depth:
-                break
-            d = Ideal(ideal.factors + ((q, 1),))  # primes ascend: already canonical
-            weights[d] = -weights[ideal]
-            extend(i + 1, d, nn, size + 1)
-
-    extend(0, Ideal.unit(), 1, 0)
+    # primes ascend, so each product is already canonical
+    weights = _truncated_mobius(
+        primes, [q.norm for q in primes], cut, depth, Ideal.unit(),
+        lambda d, q: Ideal(d.factors + ((q, 1),)),
+    )
     return SieveWeights(weights, frozenset(primes), lower_gap, cut, depth)
 
 
@@ -141,22 +157,8 @@ class IntegerWeights:
 def integer_brun_weights(lo, cut, depth: int) -> IntegerWeights:
     """Mobius weights on squarefree integers built from rational primes in
     (lo, cut], truncated at an even count; d=1 has weight 1."""
-    if depth % 2 or depth < 0:
-        raise ValueError("upper-bound sieve needs an even truncation depth")
     ps = [int(p) for p in primes_up_to(int(cut)) if p > lo]
-    weights = {1: 1}
-
-    def extend(start: int, d: int, size: int) -> None:
-        for i in range(start, len(ps)):
-            nd = d * ps[i]
-            if nd > cut:
-                break
-            if size + 1 > depth:
-                break
-            weights[nd] = -weights[d]
-            extend(i + 1, nd, size + 1)
-
-    extend(0, 1, 0)
+    weights = _truncated_mobius(ps, ps, cut, depth, 1, operator.mul)
     return IntegerWeights(weights, lo)
 
 

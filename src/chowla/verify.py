@@ -281,7 +281,7 @@ def run_suite(
 ) -> int:
     """Run one suite (or all); write CSV reports; 0 iff every exact check passed."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     os.makedirs(out_dir, exist_ok=True)
     chosen = ("identities", "postulates", "sieve") if name == "all" else (name,)
     exit_code = 0

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chowla.cubic_form import BinaryCubicForm
 from chowla.ideal_arith import Ideal, PrimeIdeal, mu_ideal, norm, tau
-from chowla.region_lattice import RowForm
+from chowla.region_lattice import ConvexRegion, RowForm
 
 
 # ------------------------------------------------------------- int oracles
@@ -118,6 +119,24 @@ def grid_mu_sums(form, N: int) -> tuple[int, int]:
     return points, int(mu.astype(np.int64).sum())
 
 
+# ------------------------------------------------------------- Brun tables
+
+
+def truncated_mobius_oracle(units, norm_of, cut, depth: int, product) -> dict:
+    """Every set of at most depth distinct units whose norms multiply to at
+    most cut, keyed by product(set) and weighted (-1)^size.  No set of k
+    units qualifies once the k least norms multiply past cut."""
+    least = sorted(norm_of(u) for u in units)
+    table = {}
+    for k in range(depth + 1):
+        if math.prod(least[:k]) > cut:
+            break
+        for subset in itertools.combinations(units, k):
+            if math.prod(norm_of(u) for u in subset) <= cut:
+                table[product(subset)] = (-1) ** k
+    return table
+
+
 # ------------------------------------------------------------ coset oracle
 
 
@@ -154,6 +173,53 @@ class LatticeCoset:
 
     def row_form(self) -> RowForm:
         return RowForm.span(self.columns(), self.offset)
+
+
+# ------------------------------------------------------------ GL2(Z) action
+# For g in GL2(Z), Q -> g*Q is a bijection of Z^2 that keeps gcd(x, y), and
+# f(g*Q) = (f o g)(Q): sums over (f, S, L) equal those over
+# (f o g, g^-1 S, g^-1 L).  g = ((p, q), (r, s)) by rows.
+
+
+def gl2_inverse(g):
+    """g^-1, exact: det g = +-1, so g^-1 = det(g) * adj(g)."""
+    (p, q), (r, s) = g
+    det = p * s - q * r
+    if det not in (1, -1):
+        raise ValueError("not in GL2(Z)")
+    return (s * det, -q * det), (-r * det, p * det)
+
+
+def gl2_point(g, v):
+    """g * v for a column vector v = (x, y)."""
+    (p, q), (r, s) = g
+    x, y = v
+    return p * x + q * y, r * x + s * y
+
+
+def gl2_form(f, g) -> BinaryCubicForm:
+    """f o g: the form (x, y) -> f(p*x + q*y, r*x + s*y), expanded on
+    Python ints."""
+    (p, q), (r, s) = g
+    out = [0, 0, 0, 0]
+    for k, coeff in enumerate(f.coeffs):  # coeff * X^(3-k) * Y^k
+        term = [coeff]  # coefficients of x^(deg) .. y^(deg)
+        for u, v in [(p, q)] * (3 - k) + [(r, s)] * k:
+            term = [a * u + b * v for a, b in zip(term + [0], [0] + term)]
+        out = [o + t for o, t in zip(out, term)]
+    return BinaryCubicForm(*out)
+
+
+def gl2_polygon(g, S: ConvexRegion) -> ConvexRegion:
+    """g * S for a polygon S, by its vertices."""
+    return ConvexRegion.polygon([gl2_point(g, v) for v in S.data])
+
+
+def gl2_coset(g, L: RowForm) -> RowForm:
+    """g * L: the span of the images of L's basis (a, 0), (b, c), through
+    the image of its point (x0, y0)."""
+    gens = [gl2_point(g, (L.a, 0)), gl2_point(g, (L.b, L.c))]
+    return RowForm.span(gens, gl2_point(g, (L.x0, L.y0)))
 
 
 # ------------------------------------------------------------- cubic oracles

@@ -192,6 +192,30 @@ def test_schedule_guards_run_before_any_sieve(tmp_path, capsys, monkeypatch):
     assert str(info.value) == message
 
 
+def test_schedule_off_the_origin_sieves_each_row_before_the_next_guard(tmp_path, capsys, monkeypatch):
+    """A unit region without the origin is sieved row by row: each row
+    passes its guards and is sieved before the next row is checked, so the
+    first row is sieved before the last fails; still no CSV is written."""
+    sieved = []
+    root_table = factor_sieve._root_table
+    monkeypatch.setattr(factor_sieve, "_root_table", lambda f, primes: sieved.append(f) or root_table(f, primes))
+    out = tmp_path / "rows.csv"
+    argv = ["avg", "--form", "1,0,0,2", "--alpha", "mu", "--region", "box:1,2,1,2",
+            "--N", "10,2000000", "--out", str(out)]
+    assert main(argv) == EXIT_RANGE
+    message = "grid values may exceed the exact 64-bit sieve range (half-width 4000000)"
+    assert capsys.readouterr() == ("", f"chowla: arithmetic range: {message}\n")
+    assert len(sieved) == 1
+    assert not out.exists()
+
+
+def test_unknown_suite_names_the_suites(tmp_path, capsys):
+    assert main(["verify", "--suite", "nonsense", "--out", str(tmp_path / "reports")]) == EXIT_USAGE
+    message = "unknown suite 'nonsense'; choose from identities, postulates, sieve, all"
+    assert capsys.readouterr().err == f"chowla: {message}\n"
+    assert not (tmp_path / "reports").exists()
+
+
 def test_verify_suite_runs(tmp_path, capsys):
     out = tmp_path / "reports"
     assert main(["verify", "--suite", "identities", "--out", str(out)]) == EXIT_OK

@@ -16,6 +16,7 @@ from chowla import (
     factor_sieve,
     parse_coset,
     parse_region,
+    write_table,
 )
 
 from helpers import grid_mu_sums
@@ -184,8 +185,8 @@ def test_shared_sieve_matches_rows_sieved_alone(case, monkeypatch):
 
 def test_write_table_bytes(tmp_path):
     out = tmp_path / "table.csv"
-    cfg = _cfg(out=str(out))
-    rows = convergence_table(cfg)
+    rows = convergence_table(_cfg())
+    write_table(str(out), rows)
     text = out.read_bytes().decode()
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER == "N,points,sum,average,envelope,ratio"
@@ -193,11 +194,20 @@ def test_write_table_bytes(tmp_path):
     assert text.endswith("\n")
 
 
+def test_write_table_to_stdout_is_the_file_bytes(tmp_path, capsys):
+    rows = convergence_table(_cfg())
+    out = tmp_path / "table.csv"
+    write_table(str(out), rows)
+    capsys.readouterr()
+    write_table(None, rows)
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_table_bytes_thread_invariant(tmp_path):
     outs = []
     for threads in (1, 2, 3):
         out = tmp_path / f"t{threads}.csv"
-        convergence_table(_cfg(threads=threads, out=str(out), N_list=[10, 25, 40]))
+        write_table(str(out), convergence_table(_cfg(threads=threads, N_list=[10, 25, 40])))
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
 

@@ -1,6 +1,7 @@
 """Tests for the point-to-ideal sequence frame, the exact coset-index
 density, and the three density laws."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,15 @@ def test_counting_functions(seq_small, primes2):
     assert A_d(seq, Ideal.prime(p3), 62) == 1
     assert A_d(seq, Ideal.prime(p3), 2) == 0
     assert A_d(seq, Ideal.unit(), 62) == A(seq, 62)
+
+
+def test_A_on_empty_support_and_vs_scan(seq_medium):
+    empty = replace(seq_medium, support={})
+    assert [A(empty, t) for t in (0, 1, 10**9)] == [0, 0, 0]
+    norms = sorted({norm(a) for a in seq_medium.support})
+    ts = [0, 1, Fraction(7, 2), norms[-1] + 1] + [t + dt for t in norms[::7] for dt in (-1, 0, Fraction(1, 2))]
+    for t in ts:
+        assert A(seq_medium, t) == sum(c for a, c in seq_medium.support.items() if norm(a) <= t), t
 
 
 @pytest.mark.parametrize("which", ["seq_small", "seq_medium"])
@@ -192,6 +202,18 @@ def test_density_laws_hold(form_text, coset_text, n_rows, branches):
     # primes under D0 are excused from law 1, with the reason recorded
     excused = {p for p, _ in report.skipped}
     assert all(seq.D0 % p == 0 for p in excused)
+
+
+def test_skipped_primes_are_listed_once():
+    """A prime dividing both D0 and D1 is skipped once, not once per prime
+    ideal above it: 23 for x^3 - x + 1 (disc -23) on a coset of index 23."""
+    K = build_field(BinaryCubicForm(1, 0, -1, 1))
+    L = parse_coset("coset:23,0,0,1;1,1")
+    seq = build_sequence(K, parse_region("box:-1,1,-1,1").scale(60), L)
+    assert seq.D0 % 23 == 0 and seq.D1 == 23
+    assert len([q for q in prime_ideals_up_to(K, 200) if q.p == 23]) > 1
+    report = check_postulates_123(seq, DensityModel(K, L), 200)
+    assert report.skipped == [(23, "divides both D0 and D1")]
 
 
 def test_law2_checks_the_lattices(K2, seq_small, monkeypatch):

@@ -15,11 +15,12 @@ from chowla import (
     integer_brun_weights,
     prime_ideals_up_to,
     sieve_value,
+    sieve_weights,
 )
 from chowla.ideal_arith import Ideal, mu_ideal, norm
 from chowla.sieve_weights import IntegerWeights, SieveWeights
 
-from helpers import random_ideal, trial_factor
+from helpers import random_ideal, simple_primes, trial_factor, truncated_mobius_oracle
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,37 @@ def test_brun_weights_are_truncated_mobius(pool2):
     # maximality: every admissible squarefree product is present
     singles = [q for q in pool2 if q.norm <= 200]
     assert all(Ideal.prime(q) in W.weights for q in singles)
+
+
+def test_brun_tables_vs_brute_force(pool2, pool23):
+    """Both tables, over prime ideals (not sorted by norm) and over rational
+    primes, are every set of at most depth primes whose (norm) product is
+    at most the cut, weighted (-1)^size."""
+    rng = random.Random(4242)
+    pools = [pool2, pool23]
+    for trial in range(48):
+        depth = (0, 2, 4, 6)[trial % 4]
+        P = rng.sample(pools[trial % 2], k=rng.randint(0, 8))
+        cut = math.inf if trial % 3 == 0 else rng.randint(1, 3000)
+        W = brun_pure_weights(P, cut, depth)
+        want = truncated_mobius_oracle(
+            sorted(set(P)), lambda q: q.norm, cut, depth, lambda s: Ideal.from_factors((q, 1) for q in s)
+        )
+        assert W.weights == want, (P, cut, depth)
+        lo, icut = rng.randint(0, 12), rng.randint(1, 150)
+        ps = [p for p in simple_primes(icut) if p > lo]
+        Wi = integer_brun_weights(lo, icut, depth)
+        assert Wi.weights == truncated_mobius_oracle(ps, int, icut, depth, math.prod), (lo, icut, depth)
+
+
+def test_weight_cap_guards_both_tables(pool2, monkeypatch):
+    assert len(brun_pure_weights(pool2, math.inf, depth=2).weights) > 20
+    assert len(integer_brun_weights(1, 100, 2).weights) > 20
+    monkeypatch.setattr(sieve_weights, "_WEIGHT_CAP", 20)
+    with pytest.raises(ValueError, match="weight table too large"):
+        brun_pure_weights(pool2, math.inf, depth=2)
+    with pytest.raises(ValueError, match="weight table too large"):
+        integer_brun_weights(1, 100, 2)
 
 
 def test_brun_weights_reject_odd_depth(pool2):

@@ -121,6 +121,10 @@ def test_identities_rng_draw_order(tmp_path, monkeypatch):
 def test_unknown_suite_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("everything", out_dir=str(tmp_path))
+    with pytest.raises(ValueError) as info:
+        run_suite("nonsense", out_dir=str(tmp_path / "reports"))
+    assert str(info.value) == "unknown suite 'nonsense'; choose from identities, postulates, sieve, all"
+    assert not (tmp_path / "reports").exists()
 
 
 def test_fault_injection_is_caught(tmp_path):
