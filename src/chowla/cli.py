@@ -20,12 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from .cubic_form import ExactRangeError, parse_form
-from .experiments import (
-    ExperimentConfig,
-    canonical_alpha,
-    convergence_table,
-    write_table,
-)
+from .experiments import ExperimentConfig, convergence_table, write_table
 from .factor_sieve import SieveCorruptionError
 from .region_lattice import parse_coset, parse_region
 from .verify import run_suite
@@ -129,7 +124,7 @@ def _run_avg(args: argparse.Namespace) -> int:
     n_list = [int(t) for t in args.N.replace(" ", "").split(",") if t]
     cfg = ExperimentConfig(
         form=form,
-        alpha=canonical_alpha(args.alpha),
+        alpha=args.alpha,
         region=region,
         coset=coset,
         N_list=n_list,

@@ -140,9 +140,10 @@ def convergence_table(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     return [chowla_average(cfg, N) for N in cfg.N_list]
 
 
-def write_table(path: Optional[str], rows: Sequence[ConvergenceRow]) -> None:
-    """The CSV table of rows, to the file at path, or to stdout if path is None."""
-    text = "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n"
+def write_table(path: Optional[str], rows: Sequence, header: str = CSV_HEADER) -> None:
+    """The CSV table of header and each row's csv(), to the file at path, or
+    to stdout if path is None."""
+    text = "\n".join([header] + [r.csv() for r in rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
         return

@@ -415,7 +415,9 @@ def _lattice_hits(lat: _Lattices, p: np.ndarray, start: np.ndarray, width: int, 
 
     Yields, step by step, the flat indices t*stride + x // a of the hits in
     rows p does not divide y, and the prime of each.  A lane meets a row at
-    most once, so a step repeats a cell only across distinct primes.
+    most once, so a step repeats a cell only across distinct primes.  A
+    basis with gamma - alpha < width leaves some column on neither step, so
+    it raises SieveCorruptionError instead of walking forever.
     """
     m, r = lat.m, lat.r
     t = np.zeros(m.size, dtype=np.int64)
@@ -434,6 +436,8 @@ def _lattice_hits(lat: _Lattices, p: np.ndarray, start: np.ndarray, width: int, 
     x = ((start[on] + r[on].astype(exact) * t) % m[on]).astype(np.int64)
     alpha, beta, gamma, delta = lat.alpha[on], lat.beta[on], lat.gamma[on], lat.delta[on]
     by_u, by_v = width - gamma, -alpha
+    if (by_v < by_u).any():
+        raise SieveCorruptionError(f"a lattice basis does not span the strip of width {width}")
     while p.size:
         off = (y0 + dy * t) % p != 0  # rows p | y belong to the other two families
         yield (t * stride + (x // a if a > 1 else x))[off], p[off]

@@ -236,11 +236,9 @@ def check_postulates_123(
     D0, D1 = seq.D0, seq.D1
     rows: list[ReportRow] = []
     branches: dict[str, str] = {}
-    skipped: list = []
+    # prime_ideals_up_to leaves these primes out
+    skipped: list = [(p, "index-risk prime") for p in sorted(K.index_bound) if p <= B]
     primes = prime_ideals_up_to(K, B)
-    for p in sorted({q.p for q in primes}):
-        if p in K.index_bound:
-            skipped.append((p, "index-risk prime"))
     silent: set[int] = set()
     for q in primes:
         p = q.p

@@ -181,13 +181,9 @@ class ConvexRegion:
         t = Fraction(t)
         if t <= 0:
             raise ValueError("scale factor must be positive")
-        if self.kind == "box":
-            x0, x1, y0, y1 = self.data
-            return ConvexRegion("box", (x0 * t, x1 * t, y0 * t, y1 * t))
-        if self.kind == "disc":
-            cx, cy, r = self.data
-            return ConvexRegion("disc", (cx * t, cy * t, r * t))
-        return ConvexRegion("poly", tuple((x * t, y * t) for x, y in self.data))
+        if self.kind == "poly":
+            return ConvexRegion("poly", tuple((x * t, y * t) for x, y in self.data))
+        return ConvexRegion(self.kind, tuple(v * t for v in self.data))
 
     def symmetric(self) -> bool:
         """Whether the region is closed under (x, y) -> (-x, -y), from its
@@ -200,37 +196,32 @@ class ConvexRegion:
             return self.data[0] == self.data[1] == 0
         return set(self.data) == {(-x, -y) for x, y in self.data}
 
-    def y_range(self) -> tuple[int, int]:
-        if self.kind == "box":
-            lo, hi = self.data[2], self.data[3]
-        elif self.kind == "disc":
-            cx, cy, r = self.data
-            lo, hi = cy - r, cy + r
-        else:
-            ys = [y for _, y in self.data]
-            lo, hi = min(ys), max(ys)
-        return math.ceil(lo), math.floor(hi)
-
-    def x_range(self) -> tuple[int, int]:
-        if self.kind == "box":
-            lo, hi = self.data[0], self.data[1]
-        elif self.kind == "disc":
-            cx, cy, r = self.data
-            lo, hi = cx - r, cx + r
-        else:
-            xs = [x for x, _ in self.data]
-            lo, hi = min(xs), max(xs)
-        return math.ceil(lo), math.floor(hi)
-
     @cached_property
-    def _row_data(self) -> tuple[int, ...]:
-        """Integers that decide a row of a box or a disc exactly: a box's
-        (xlo, xhi, ylo, yhi), its integer bounds; a disc's (q, A, B, R*R)
-        for the common denominator q of its center (A/q, B/q) and radius
-        R/q.  Computed once, on first use; polygons have none."""
+    def _bounds(self) -> tuple[int, int, int, int]:
+        """(xlo, xhi, ylo, yhi), the integer bounds of the region's bounding
+        box; computed once, on first use."""
         if self.kind == "box":
             x0, x1, y0, y1 = self.data
-            return math.ceil(x0), math.floor(x1), math.ceil(y0), math.floor(y1)
+        elif self.kind == "disc":
+            cx, cy, r = self.data
+            x0, x1, y0, y1 = cx - r, cx + r, cy - r, cy + r
+        else:
+            xs = [x for x, _ in self.data]
+            ys = [y for _, y in self.data]
+            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        return math.ceil(x0), math.floor(x1), math.ceil(y0), math.floor(y1)
+
+    def y_range(self) -> tuple[int, int]:
+        return self._bounds[2:]
+
+    def x_range(self) -> tuple[int, int]:
+        return self._bounds[:2]
+
+    @cached_property
+    def _row_data(self) -> tuple[int, int, int, int]:
+        """Integers that decide a row of a disc exactly: (q, A, B, R*R) for
+        the common denominator q of its center (A/q, B/q) and radius R/q.
+        Computed once, on first use."""
         cx, cy, r = self.data
         q = math.lcm(cx.denominator, cy.denominator, r.denominator)
         return q, int(cx * q), int(cy * q), int(r * q) ** 2
@@ -238,7 +229,7 @@ class ConvexRegion:
     def row_extent(self, y: int) -> Optional[tuple[int, int]]:
         """Integer x-range [xlo, xhi] of the row, or None if empty. Exact."""
         if self.kind == "box":
-            lo, hi, ylo, yhi = self._row_data
+            lo, hi, ylo, yhi = self._bounds
             if not ylo <= y <= yhi:
                 return None
         elif self.kind == "disc":

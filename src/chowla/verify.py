@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .cubic_form import BinaryCubicForm, parse_form
+from .experiments import write_table
 from .factor_sieve import parities, parity_grid
 from .ideal_arith import (
     CubicField,
@@ -56,7 +57,9 @@ from .vaughan import (
 
 __all__ = ["SUITES", "CheckResult", "run_suite"]
 
-SUITES = ("identities", "postulates", "sieve", "all")
+# the suites run by "all", in order
+_PARTS = ("identities", "postulates", "sieve")
+SUITES = _PARTS + ("all",)
 
 _SEED = 20260822
 
@@ -166,7 +169,7 @@ _POSTULATE_CONFIGS = (
 )
 
 
-def suite_postulates(out_dir: Optional[str]) -> list[CheckResult]:
+def suite_postulates(out_dir: str) -> list[CheckResult]:
     region = parse_region("box:-1,1,-1,1").scale(30)
     results = []
     for k, (form_spec, coset_spec) in enumerate(_POSTULATE_CONFIGS, start=1):
@@ -180,12 +183,8 @@ def suite_postulates(out_dir: Optional[str]) -> list[CheckResult]:
         results.append(
             CheckResult(f"density_laws_config{k}", len(report.rows), len(fails), detail)
         )
-        if out_dir is not None:
-            path = os.path.join(out_dir, f"postulates_{k}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("postulate,params,ratio,status\n")
-                for row in report.rows:
-                    fh.write(row.csv() + "\n")
+        path = os.path.join(out_dir, f"postulates_{k}.csv")
+        write_table(path, report.rows, header="postulate,params,ratio,status")
     return results
 
 
@@ -283,7 +282,7 @@ def run_suite(
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     os.makedirs(out_dir, exist_ok=True)
-    chosen = ("identities", "postulates", "sieve") if name == "all" else (name,)
+    chosen = _PARTS if name == "all" else (name,)
     exit_code = 0
     for suite in chosen:
         rng = random.Random(_SEED)
@@ -293,11 +292,7 @@ def run_suite(
             results = suite_postulates(out_dir)
         else:
             results = suite_sieve(rng, corrupt=_corrupt)
-        path = os.path.join(out_dir, f"verify_{suite}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(REPORT_HEADER + "\n")
-            for res in results:
-                fh.write(res.csv() + "\n")
+        write_table(os.path.join(out_dir, f"verify_{suite}.csv"), results, header=REPORT_HEADER)
         for res in results:
             if echo is not None:
                 status = "PASS" if res.ok else "FAIL"

@@ -6,18 +6,16 @@ import math
 import pytest
 
 from chowla import (
-    CSV_HEADER,
     BinaryCubicForm,
     ExperimentConfig,
-    canonical_alpha,
     chowla_average,
     convergence_table,
-    envelope,
     factor_sieve,
     parse_coset,
     parse_region,
     write_table,
 )
+from chowla.experiments import CSV_HEADER, canonical_alpha, envelope
 
 from helpers import grid_mu_sums
 

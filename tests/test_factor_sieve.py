@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import signal
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from chowla import factor_sieve
+from chowla.cli import EXIT_ASSERTION, main
 from chowla.cubic_form import BinaryCubicForm, ExactRangeError, is_irreducible
 from chowla.factor_sieve import (
     Factorization,
@@ -18,7 +20,7 @@ from chowla.factor_sieve import (
     parity_range,
     sieve_grid,
 )
-from chowla.region_lattice import ConvexRegion, RowForm, parse_region
+from chowla.region_lattice import ConvexRegion, RowForm, parse_coset, parse_region
 
 from helpers import LatticeCoset, simple_primes, spf_parity_tables, trial_factor
 
@@ -116,6 +118,34 @@ def test_divide_out_raises_on_a_cell_its_prime_does_not_divide():
     cof = np.array([8, 45], dtype=np.int64)
     assert factor_sieve._divide_out(cof, np.array([0, 1, 1]), np.array([2, 3, 5])).tolist() == [3, 2, 1]
     assert cof.tolist() == [1, 1]
+
+
+def test_walk_raises_on_a_basis_that_does_not_span_the_strip(monkeypatch):
+    """Lattices reduced for the stored width ceil(width / a) in place of the
+    box width leave some columns on neither step, where the walk once looped
+    forever (x^3 + 2y^3 on a coset with a = 5).  Both grid paths raise at
+    once and `chowla avg` exits 1; an alarm turns a hang into a failure."""
+    reduce = factor_sieve._reduced_lattices
+    monkeypatch.setattr(factor_sieve, "_reduced_lattices", lambda m, r, width: reduce(m, r, -(-width // 5)))
+    coset = "coset:5,0,2,1;0,0"
+    S, L = parse_region("box:-1,1,-1,1").scale(30), parse_coset(coset)
+    assert L.a == 5
+
+    def hang(signum, frame):
+        raise TimeoutError("the lattice walk did not stop")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        for sieve in (parity_grid, sieve_grid):
+            with pytest.raises(SieveCorruptionError, match="does not span"):
+                sieve(F2, S, L)
+        argv = ["avg", "--form", "1,0,0,2", "--alpha", "mu", "--region", "box:-1,1,-1,1",
+                "--coset", coset, "--N", "30"]
+        assert main(argv) == EXIT_ASSERTION
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_grid_matches_trial_division():

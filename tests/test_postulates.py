@@ -9,17 +9,15 @@ import pytest
 from chowla import (
     BinaryCubicForm,
     DensityModel,
-    IndexBoundError,
     build_field,
     build_sequence,
     check_postulates_123,
-    g_density,
     parse_coset,
     parse_region,
     prime_ideals_up_to,
 )
-from chowla.ideal_arith import Ideal, PrimeIdeal, norm
-from chowla.postulates import A, A_d, ReportRow, remainder
+from chowla.ideal_arith import Ideal, IndexBoundError, PrimeIdeal, norm
+from chowla.postulates import A, A_d, ReportRow, g_density, remainder
 from chowla.region_lattice import RowForm
 
 
@@ -214,6 +212,18 @@ def test_skipped_primes_are_listed_once():
     assert len([q for q in prime_ideals_up_to(K, 200) if q.p == 23]) > 1
     report = check_postulates_123(seq, DensityModel(K, L), 200)
     assert report.skipped == [(23, "divides both D0 and D1")]
+
+
+def test_index_risk_prime_is_listed_as_skipped():
+    """prime_ideals_up_to leaves out the index-risk primes, so the check
+    lists them itself: 2 for Dedekind's x^3 - x^2 - 2x - 8."""
+    K = build_field(BinaryCubicForm(1, -1, -2, -8))
+    assert K.index_bound == {2}
+    assert all(q.p != 2 for q in prime_ideals_up_to(K, 60))
+    L = parse_coset("coset:2,0,0,2;1,0")
+    seq = build_sequence(K, parse_region("box:-1,1,-1,1").scale(20), L)
+    report = check_postulates_123(seq, DensityModel(K, L), 60)
+    assert report.skipped == [(2, "index-risk prime")]
 
 
 def test_law2_checks_the_lattices(K2, seq_small, monkeypatch):

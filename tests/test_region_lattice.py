@@ -216,6 +216,35 @@ def test_triangle_rows_match_brute():
             assert want == list(range(lo, hi + 1))
 
 
+_ODD_REGIONS = (
+    ConvexRegion.box(Fraction(-7, 3), Fraction(5, 2), Fraction(-1, 2), Fraction(11, 4)),
+    ConvexRegion.box(Fraction(1, 3), Fraction(2, 3), -2, 3),  # no integer column
+    ConvexRegion.disc(Fraction(1, 3), Fraction(-3, 4), Fraction(17, 6)),
+    ConvexRegion.disc(Fraction(-5, 2), 1, Fraction(1, 3)),  # no integer point
+    ConvexRegion.polygon([(Fraction(-9, 2), -1), (Fraction(7, 3), Fraction(-5, 2)), (1, Fraction(13, 4))]),
+)
+
+
+@pytest.mark.parametrize("S", _ODD_REGIONS)
+def test_ranges_and_rows_vs_contains(S):
+    """x_range, y_range and row_extent against scans through contains, on
+    fractional corners, centres and radii.  A column x is in range when
+    some (x, k/12) lies in S; 12 is a common denominator of every datum, so
+    the scan meets each extreme point."""
+    fine = [Fraction(k, 12) for k in range(-96, 97)]
+    cols = [x for x in range(-8, 9) if any(S.contains(x, v) for v in fine)]
+    rows = [y for y in range(-8, 9) if any(S.contains(u, y) for u in fine)]
+    for got, want in ((S.x_range(), cols), (S.y_range(), rows)):
+        if want:
+            assert got == (want[0], want[-1])
+        else:
+            assert got[0] > got[1]
+    for y in range(-8, 9):
+        row = [x for x in range(-8, 9) if S.contains(x, y)]
+        ext = S.row_extent(y)
+        assert row == ([] if ext is None else list(range(ext[0], ext[1] + 1)))
+
+
 def test_scale_membership():
     S = ConvexRegion.polygon([(-1, -1), (1, 0), (0, 1)])
     N = 9
@@ -225,6 +254,16 @@ def test_scale_membership():
             assert big.contains(x, y) == S.contains(Fraction(x, N), Fraction(y, N))
     with pytest.raises(ValueError):
         S.scale(0)
+
+
+@pytest.mark.parametrize("S", [S for S in _ODD_REGIONS if S.kind != "poly"])
+def test_scale_box_and_disc_membership(S):
+    N = 9
+    big = S.scale(N)
+    assert big.kind == S.kind
+    for x in range(-45, 46):
+        for y in range(-45, 46):
+            assert big.contains(x, y) == S.contains(Fraction(x, N), Fraction(y, N))
 
 
 def test_grid_points_vs_brute():

@@ -11,14 +11,12 @@ from chowla import (
     anti_sieve_split,
     brun_pure_weights,
     buchstab_split,
-    default_depth,
     integer_brun_weights,
     prime_ideals_up_to,
-    sieve_value,
     sieve_weights,
 )
 from chowla.ideal_arith import Ideal, mu_ideal, norm
-from chowla.sieve_weights import IntegerWeights, SieveWeights
+from chowla.sieve_weights import IntegerWeights, SieveWeights, default_depth, sieve_value
 
 from helpers import random_ideal, simple_primes, trial_factor, truncated_mobius_oracle
 

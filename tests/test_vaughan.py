@@ -9,8 +9,6 @@ import pytest
 
 from chowla import (
     VaughanParams,
-    beta_all,
-    combine,
     pairing_bound,
     prime_ideals_up_to,
     verify_groupings,
@@ -18,7 +16,7 @@ from chowla import (
     window_flip,
 )
 from chowla.ideal_arith import Ideal, mu_ideal, norm, tau
-from chowla.vaughan import _windows
+from chowla.vaughan import _windows, beta_all, combine
 
 from helpers import (
     beta_all_oracle,
