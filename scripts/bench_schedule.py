@@ -8,7 +8,8 @@ box [-1, 1]^2, all points) at N = N_max/rows, 2*N_max/rows, ..., N_max on
 one thread, and the row is chowla_average at N_max alone.  --coset and
 --coprime-only cut both to the points `chowla avg` would take.  The two
 alternate, table first on even repetitions; the script prints one JSON
-record with every time and the ratio of medians.  Both sides give the
+record with the machine (core count, Python and numpy versions), every
+time and the ratio of medians.  Both sides give the
 same last row, which is checked.
 """
 
@@ -16,8 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import time
+
+import numpy as np
 
 from chowla import (
     ExperimentConfig,
@@ -65,6 +70,7 @@ def main() -> None:
             raise SystemExit(f"last rows differ: {last[0].csv()} vs {last[1].csv()}")
     med = {name: statistics.median(ts) for name, ts in times.items()}
     print(json.dumps({
+        "machine": {"cores": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
         "schedule": schedule,
         "table_s": times["table"],
         "row_s": times["row"],

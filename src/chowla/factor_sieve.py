@@ -19,18 +19,18 @@ Striking works line by line: for p not dividing y, the zero locus of f mod p
 is a union of lines x = r*y with f(r, 1) = 0 mod p, which in a stored row is
 i = a^-1*(r*y - x_y) (mod p), or the whole row or none when p | a; rows
 p | y, where f = lead*x^3 (mod p), are struck whole when p | lead and at
-p | x otherwise.  Primes below the stored width, and those dividing f's
-lead, a or c, strike row by row.  Any other prime meets each row at most
-once: its rows p | y strike one column each, and its lines are walked: the
-coset points of a line x = r*y (mod p) form the lattice x = X + B*t
-(mod a*p) over the stored rows t, and each goes from hit to hit through
-the box's columns along a reduced basis, all (p, r) pairs of a band in
-step.  These three families are disjoint and come out of one stream that
-leaves out the origin, where f(0, 0) = 0, into one divide-out that checks
-each set before it divides: a wrong root, lead or walk raises
-SieveCorruptionError.  The stream builds the cells p | gcd(x, y) of every
-prime up to the half-width, so it clears a coprime-only mask with no pass
-of its own.
+p | x otherwise.  Primes below the stored width or up to the half-width,
+and those dividing f's lead, a or c, strike row by row.  Any other prime
+meets each row at most once and divides no y but 0, where its one cell
+p | x is the origin, so only its lines are walked: the coset points of a
+line x = r*y (mod p) form the lattice x = X + B*t (mod a*p) over the
+stored rows t, and each goes from hit to hit through the box's columns
+along a reduced basis, all (p, r) pairs of a band in step.  These two
+families are disjoint and come out of one stream that leaves out the
+origin, where f(0, 0) = 0, into one divide-out that checks each set
+before it divides: a wrong root, lead or walk raises SieveCorruptionError.
+The row strike builds the cells p | gcd(x, y) of every prime up to the
+half-width, so it clears a coprime-only mask with no pass of its own.
 
 A cubic form is odd, f(-x, -y) = -f(x, y), so a parity-path grid closed
 under negation, every region and the coset alike (an exact test on their
@@ -153,7 +153,7 @@ class _ParityCounts:
 # ---------------------------------------------------------------- factorization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     value: int
     sign: int
@@ -439,7 +439,7 @@ def _lattice_hits(lat: _Lattices, p: np.ndarray, start: np.ndarray, width: int, 
     if (by_v < by_u).any():
         raise SieveCorruptionError(f"a lattice basis does not span the strip of width {width}")
     while p.size:
-        off = (y0 + dy * t) % p != 0  # rows p | y belong to the other two families
+        off = (y0 + dy * t) % p != 0  # a walked prime divides only y = 0: the origin's hit
         yield (t * stride + (x // a if a > 1 else x))[off], p[off]
         u = x >= by_u
         v = x < by_v
@@ -486,25 +486,6 @@ def _cleared(mask: Optional[np.ndarray], idx: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _divisor_rows(table: "_StrikeTable", band: _Band, mask: Optional[np.ndarray]):
-    """Flat band indices, and the prime of each, of the cells in rows p | y
-    for the walked primes p, which divide neither f's lead nor a: the one
-    column p | x if the row holds it.  These are the cells p | gcd(x, y),
-    and mask, if given, is cleared at them."""
-    p = table.primes
-    # band row k lies at y = y[0] + c*k: p | y every p rows from k = -y[0]/c (mod p)
-    first = (-band.y[0]) % p * table.cinv % p
-    count = np.maximum((band.rows - 1 - first) // p + 1, 0)
-    which = np.repeat(np.arange(p.size), count)
-    q = p[which]
-    k = first[which] + q * (np.arange(which.size) - np.repeat(np.cumsum(count) - count, count))
-    rows = band.select(k)
-    col = (-rows.xs) % q * table.ainv[which] % q
-    idx = rows.base + col
-    keep = (col < rows.ns) & (idx != band.origin)  # f(0, 0) = 0 lies in every row p | y
-    return _cleared(mask, idx[keep]), q[keep]
-
-
 def _walk(spec: GridSpec, table: "_StrikeTable", band: _Band):
     """The walked primes' hits in the band.
 
@@ -527,10 +508,10 @@ class _StrikeTable:
     leftover cofactor is then 1 or one prime.
 
     small: (p, roots, p | f's lead, a^-1 mod p or None when p | a) per
-    prime struck row by row: those below the stored width, and those
-    dividing f's lead, the coset's a or its c;
-    primes, ainv, cinv: the other primes, walked, with a^-1 and c^-1 mod
-    each;
+    prime struck row by row: those below the stored width or up to the
+    half-width, and those dividing f's lead, the coset's a or its c;
+    primes: the other primes, walked; past the half-width, each divides
+    no x or y of the grid but 0;
     roots, root_ainv, lattices: their (p, r) pairs, r a root, with a^-1 mod
     p, and the lattices coset & {x = r*y (mod p)} they take from stored row
     to stored row.
@@ -539,8 +520,6 @@ class _StrikeTable:
     depth: int
     small: list
     primes: np.ndarray
-    ainv: np.ndarray
-    cinv: np.ndarray
     roots: np.ndarray
     root_ainv: np.ndarray
     lattices: _Lattices
@@ -558,7 +537,8 @@ def _strike_table(spec: GridSpec) -> _StrikeTable:
     primes = primes_up_to(depth)
     pair_p, pair_r = _root_table(spec.form, primes)
     L, width, lead = spec.lattice, spec.stored_width, spec.form.a
-    by_row = (primes < width) | (lead % primes == 0) | (L.a % primes == 0) | (L.c % primes == 0)
+    by_row = (primes < width) | (primes <= spec.half_width)
+    by_row |= (lead % primes == 0) | (L.a % primes == 0) | (L.c % primes == 0)
     small = []
     for p in primes[by_row].tolist():
         lo, hi = np.searchsorted(pair_p, [p, p + 1])
@@ -567,22 +547,23 @@ def _strike_table(spec: GridSpec) -> _StrikeTable:
     if large.size and L.a * int(large[-1]) >= _INT64_GUARD:
         raise ExactRangeError(f"coset step {L.a} is past the exact 64-bit lattice walk")
     ainv = _inverses(L.a, large)
-    walked = np.isin(pair_p, large)
+    walked = ~by_row[np.searchsorted(primes, pair_p)]
     p, r = pair_p[walked], pair_r[walked]
     r_ainv = ainv[np.searchsorted(large, p)]
     # the step in x from stored row to stored row: b (mod a), r*c (mod p)
     step = L.b + L.a * ((r * (L.c % p) - L.b) % p * r_ainv % p)
     lattices = _reduced_lattices(L.a * p, step, spec.width)
-    return _StrikeTable(depth, small, large, ainv, _inverses(L.c, large), r, r_ainv, lattices)
+    return _StrikeTable(depth, small, large, r, r_ainv, lattices)
 
 
 def _strike_sets(spec: GridSpec, table: _StrikeTable, band: _Band, mask: Optional[np.ndarray]):
     """Every (idx, p) the band is struck with, p one prime or one per
     index: each row-struck prime's root lines and rows p | y, then the
-    walked primes' rows p | y and their lines.  The sets are disjoint and
-    leave out the origin, f(0, 0) = 0.  mask, if given, is cleared at the
-    cells p | gcd(x, y): the cells p | x of the rows p | y.  No name here
-    holds a set while the caller divides it, so no two sets are alive at once."""
+    walked primes' lines.  The sets are disjoint and leave out the origin,
+    f(0, 0) = 0.  mask, if given, is cleared at the cells p | gcd(x, y):
+    the cells p | x of the row-struck primes' rows p | y, since a walked
+    prime divides no gcd but the origin's.  No name here holds a set while
+    the caller divides it, so no two sets are alive at once."""
     for p, roots, p_div_lead, ainv in table.small:
         off = band.y % p != 0  # rows with p not dividing y
         if roots:
@@ -596,7 +577,6 @@ def _strike_sets(spec: GridSpec, table: _StrikeTable, band: _Band, mask: Optiona
             yield band.off_origin(_whole_rows(rows)), p
         elif rows.rows:
             yield _cleared(mask, band.off_origin(_congruent_cells(rows, 0, p, ainv))), p
-    yield _divisor_rows(table, band, mask)
     yield from _walk(spec, table, band)
 
 

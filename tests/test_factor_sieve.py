@@ -1,7 +1,10 @@
 import hashlib
 import math
+import os
 import random
 import signal
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -698,6 +701,63 @@ def test_prime_of_the_row_modulus_past_the_width():
             assert table.primes.size  # some primes are walked
             for coprime in (False, True):
                 _check_grid(f, S, L, coprime)
+
+
+# (form, region, coset, half): the a = 3 disc coset of avg-row, a = 50 on
+# a disc off centre, a box 16 times taller than wide, and a symmetric box
+# on a symmetric coset, which takes the half path; each has primes between
+# the stored width and the half-width
+WALKED_PAST_THE_HALF_WIDTH = (
+    (BinaryCubicForm(3, -1, 2, -5), parse_region("disc:0,0,1").scale(60), parse_coset("coset:3,0,1,1;-3,4"), False),
+    (F2, parse_region("disc:1/2,0,1").scale(300), parse_coset("coset:50,0,1,1;0,0"), False),
+    (BinaryCubicForm(6, -5, 3, 7), parse_region("box:0,1,-8,8").scale(10), None, False),
+    (BinaryCubicForm(6, -5, 3, 7), ConvexRegion.box(-40, 40, -40, 40),
+     LatticeCoset(basis=((4, 2), (0, 2)), offset=(1, 1)).row_form(), True),
+)
+
+
+@pytest.mark.parametrize("case", range(len(WALKED_PAST_THE_HALF_WIDTH)))
+def test_walked_primes_lie_past_the_half_width(case, monkeypatch):
+    """Every walked prime is past the half-width, at least the stored width
+    and coprime to f's lead, a and c: past the half-width it divides no y
+    but 0 and no gcd(x, y) but the origin's, so the walk needs no rows
+    p | y.  The table is read on the spec that is sieved, the half grid's
+    on the half path."""
+    f, S, L, half = WALKED_PAST_THE_HALF_WIDTH[case]
+    assert factor_sieve._symmetric([S], L) == half
+    sieved = []
+    strike_table = factor_sieve._strike_table
+    monkeypatch.setattr(factor_sieve, "_strike_table", lambda spec: sieved.append(spec) or strike_table(spec))
+    parity_grid(f, S, L, coprime_only=True)
+    (spec,) = sieved
+    assert (spec.ymin == 0) == half
+    assert spec.stored_width < spec.half_width
+    primes = strike_table(spec).primes
+    assert primes.size > 0
+    assert np.all(primes > spec.half_width) and np.all(primes >= spec.stored_width)
+    steps = f.a * spec.lattice.a * spec.lattice.c
+    assert all(math.gcd(steps, p) == 1 for p in primes.tolist())
+
+
+def test_walk_split_imports_no_masked_arrays():
+    """The strike table splits the pairs by the primes' own split, not by
+    set membership, whose sort path past numpy's table limit imports
+    numpy.ma.  A box of 160,801 cells at depth 672,333, in a fresh
+    interpreter."""
+    code = (
+        "import sys\n"
+        "from chowla.cubic_form import BinaryCubicForm\n"
+        "from chowla.factor_sieve import parity_grid\n"
+        "from chowla.region_lattice import parse_region\n"
+        "g = parity_grid(BinaryCubicForm(14126, 1, -3, 2), parse_region('box:-1,1,-1,1').scale(200))\n"
+        "print(g.spec.cells, g.points, g.mu_sum, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(factor_sieve.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["160801", "160800", "164", "False"]
 
 
 def test_congruent_cells_past_the_int64_products():
